@@ -17,7 +17,7 @@ from .errors import (
 )
 from .specfun import WeightedModel, beta_fn, binomial, log_gamma, normalizing_constant
 from .bergman import BallPoint, BasisConstant, basis_constant, kernel, normalized_kernel
-from .eigen import jacobi_eigenvalues
+from .eigen import hermitian_eigenvalues
 from .geometry import (
     CHART_NAMES,
     ChartedSubmanifold,
@@ -47,7 +47,6 @@ from .toeplitz import (
     composition_trace_quadrature,
     default_cutoff,
     explicit_eigenvalues,
-    hermitian_eigenvalues,
     label_product,
     largest_eigenvalue_index,
     matrix_elements,

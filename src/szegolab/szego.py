@@ -10,8 +10,6 @@ for the golden tables.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -19,7 +17,7 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError
 from .quadrature import adaptive_integral, graded_edges
-from .specfun import WeightedModel, log_gamma
+from .specfun import WeightedModel
 from .geometry import ChartedSubmanifold
 from .toeplitz import (
     CircleSymbolModel,
@@ -47,7 +45,6 @@ __all__ = [
     "convergence_scan",
     "NormAsymptote",
     "norm_asymptote",
-    "thread_budget",
 ]
 
 
@@ -146,7 +143,7 @@ def q_transform(spec: QTransformSpec, t: float) -> float:
     val = adaptive_integral(integrand, edges, rel_tol=1e-10,
                             order=spec.quad_order, max_doublings=6,
                             what=f"q_transform(eps={eps:g}, t={t:g})")
-    return val / math.exp(log_gamma(eps + 1.0))
+    return val / math.gamma(eps + 1.0)
 
 
 def monomial_rhs_circle(r: float, m: int) -> float:
@@ -357,28 +354,15 @@ class ScanRow:
     rhs_asymptotic_count: Optional[float] = None
 
 
-def thread_budget() -> int:
-    """Row-level parallelism cap from SZEGOLAB_THREADS (default 1)."""
-    raw = os.environ.get("SZEGOLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def convergence_scan(template: CircleSymbolModel,
                      alpha_grid: Sequence[float],
                      phi: Optional[PhiFunction] = None,
                      interval: Optional[tuple] = None,
-                     cutoff: Optional[int] = None,
-                     threads: Optional[int] = None) -> list:
+                     cutoff: Optional[int] = None) -> list:
     """Scaled spectral sums against the alpha-free limit, one row per alpha.
 
     Exactly one of ``phi`` (trace of phi of the operator) or ``interval``
-    (eigenvalue counting) must be given.  Rows are independent; they may be
-    computed on a thread pool but are always returned in grid order, and
-    each row's summation order is fixed, so results do not depend on the
-    parallelism level.
+    (eigenvalue counting) must be given.  Rows come back in grid order.
     """
     if (phi is None) == (interval is None):
         raise DomainError("provide exactly one of phi or interval")
@@ -404,12 +388,7 @@ def convergence_scan(template: CircleSymbolModel,
             lhs = scale * float(np.sum(phi(spectrum.eigenvalues)))
         return ScanRow(alpha=float(alpha), lhs_scaled=lhs, rhs_limit=rhs)
 
-    workers = thread_budget() if threads is None else max(1, int(threads))
-    alphas = [float(a) for a in alpha_grid]
-    if workers == 1 or len(alphas) <= 1:
-        return [row(a) for a in alphas]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(row, alphas))
+    return [row(float(a)) for a in alpha_grid]
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .bergman import BallPoint
-from .eigen import jacobi_eigenvalues
+from .bergman import _coords
+from .eigen import hermitian_eigenvalues
 from .errors import AccuracyError, DomainError
 from .specfun import log_gamma, normalizing_constant
 
@@ -69,13 +69,11 @@ class CircleSymbolModel:
             if abs(coeffs[0].imag) > 1e-14 * max(1.0, abs(coeffs[0])):
                 raise DomainError("zeroth Fourier coefficient must be real")
             object.__setattr__(self, "fourier", coeffs)
-            theta = np.arange(_SYMBOL_GRID) / _SYMBOL_GRID
-            vals = self.symbol_values(theta)
+            vals = self.symbol_values(np.arange(_SYMBOL_GRID) / _SYMBOL_GRID)
             if vals.min() < -1e-12 * max(vals.max(), 1.0):
                 raise DomainError(
                     f"symbol is negative on the check grid (min {vals.min():.3e})")
-        sup = 1.0 if self.fourier is None else float(
-            self.symbol_values(np.arange(_SYMBOL_GRID) / _SYMBOL_GRID).max())
+        sup = 1.0 if self.fourier is None else float(vals.max())
         object.__setattr__(self, "norm_bound", sup / (1.0 - self.r ** 2) ** 2)
 
     @property
@@ -235,19 +233,6 @@ def matrix_elements(model: CircleSymbolModel,
     return out
 
 
-def hermitian_eigenvalues(matrix) -> np.ndarray:
-    """Full spectrum of a Hermitian matrix, descending (cyclic Jacobi)."""
-    return jacobi_eigenvalues(matrix, hermitian_tol=1e-12)
-
-
-def _point_coords(point) -> tuple:
-    if isinstance(point, BallPoint):
-        return point.coords
-    if isinstance(point, (complex, float, int)):
-        return (complex(point),)
-    return tuple(complex(z) for z in point)
-
-
 def phase_value(points) -> complex:
     """Cyclic phase i sum_j Log((1 - <xi_j, xi_j+1>) / (1 - |xi_j|^2)).
 
@@ -255,7 +240,7 @@ def phase_value(points) -> complex:
     argument never meets (-inf, 0] for points inside the ball).  The
     imaginary part is nonnegative and vanishes only on the diagonal.
     """
-    pts = [_point_coords(p) for p in points]
+    pts = [_coords(p) for p in points]
     if len(pts) < 2:
         raise DomainError("phase needs at least two points")
     dim = len(pts[0])

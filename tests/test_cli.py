@@ -1,6 +1,10 @@
+from pathlib import Path
+
 import pytest
 
 from szegolab import cli
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(argv):
@@ -50,14 +54,28 @@ class TestTables:
         assert run(["table2", "--format", "csv", "--out", str(p2)]) == 0
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_csv_byte_identical_across_thread_settings(self, tmp_path, monkeypatch):
-        p1 = tmp_path / "a.csv"
-        p2 = tmp_path / "b.csv"
-        monkeypatch.setenv("SZEGOLAB_THREADS", "1")
-        assert run(["table1", "--format", "csv", "--out", str(p1)]) == 0
-        monkeypatch.setenv("SZEGOLAB_THREADS", "4")
-        assert run(["table1", "--format", "csv", "--out", str(p2)]) == 0
-        assert p1.read_bytes() == p2.read_bytes()
+    # Frozen outputs: tables byte for byte, the trace scan within 1e-14
+    # relative (its limit moves by ulps when the transform changes).
+    @pytest.mark.parametrize("name, argv, rel", [
+        ("table1.csv", ["table1"], 0.0),
+        ("table2.csv", ["table2"], 0.0),
+        ("scan_r0.5_pow0.3.csv",
+         ["scan", "--r", "0.5", "--alpha", "1e2,1e4,1e5", "--phi", "pow:0.3"],
+         1e-14),
+    ])
+    def test_matches_golden_csv(self, tmp_path, name, argv, rel):
+        out = tmp_path / name
+        assert run(argv + ["--format", "csv", "--out", str(out)]) == 0
+        if rel == 0.0:
+            assert out.read_bytes() == (GOLDEN / name).read_bytes()
+            return
+        got_rows = [line.split(",") for line in out.read_text().splitlines()]
+        want_rows = [line.split(",") for line in (GOLDEN / name).read_text().splitlines()]
+        assert got_rows[0] == want_rows[0]
+        assert len(got_rows) == len(want_rows)
+        for g_row, w_row in zip(got_rows[1:], want_rows[1:]):
+            for g, w in zip(g_row, w_row, strict=True):
+                assert float(g) == pytest.approx(float(w), rel=rel, abs=0.0)
 
 
 class TestScan:

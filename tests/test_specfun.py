@@ -95,7 +95,8 @@ class TestBinomial:
     def test_large_matches_loggamma_path(self):
         for m, k in [(70, 31), (100, 50), (200, 13)]:
             got = binomial(m, k)
-            assert got == pytest.approx(math.comb(m, k), rel=1e-10)
+            assert type(got) is int
+            assert got == math.comb(m, k)
 
     def test_out_of_range(self):
         assert binomial(5, 9) == 0

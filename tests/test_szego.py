@@ -262,22 +262,6 @@ class TestConvergenceScan:
             assert inversions <= allowed
             assert diffs[-1] < diffs[0]
 
-    def test_thread_count_does_not_change_results(self):
-        rows1 = convergence_scan(R_HALF, (100.0, 1e3, 1e4), phi=power_phi(1.0),
-                                 threads=1)
-        rows4 = convergence_scan(R_HALF, (100.0, 1e3, 1e4), phi=power_phi(1.0),
-                                 threads=4)
-        assert [r.lhs_scaled for r in rows1] == [r.lhs_scaled for r in rows4]
-
-    def test_thread_budget_env(self, monkeypatch):
-        from szegolab.szego import thread_budget
-        monkeypatch.setenv("SZEGOLAB_THREADS", "3")
-        assert thread_budget() == 3
-        monkeypatch.setenv("SZEGOLAB_THREADS", "bogus")
-        assert thread_budget() == 1
-        monkeypatch.delenv("SZEGOLAB_THREADS")
-        assert thread_budget() == 1
-
     def test_argument_validation(self):
         with pytest.raises(DomainError):
             convergence_scan(R_HALF, (100.0,))

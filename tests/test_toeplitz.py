@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -191,6 +192,18 @@ class TestMatrixElements:
         lam120 = hermitian_eigenvalues(matrix_elements(model, cutoff=120))
         window = lam60 >= lam60[0] * 1e-9
         assert np.max(np.abs(lam60[window] / lam120[: int(window.sum())] - 1.0)) < 1e-10
+
+    def test_graded_spectrum_relative_accuracy(self):
+        # The spectrum spans 15 orders of magnitude; a solver that is only
+        # accurate relative to the norm loses the small eigenvalues.
+        model = CircleSymbolModel(r=0.5, alpha=20.0, fourier=(1.0, 0.3))
+        mat = matrix_elements(model, cutoff=50)
+        with mpmath.workdps(40):
+            ref = mpmath.eighe(mpmath.matrix(mat.tolist()), eigvals_only=True)
+            want = np.sort(np.array([float(v) for v in ref]))[::-1]
+        assert want[-1] < 1e-14 * want[0]
+        got = hermitian_eigenvalues(mat)
+        assert np.max(np.abs(got - want) / want) < 1e-9
 
     def test_nonnegative_symbol_gives_nonnegative_spectrum(self):
         # a = 1 + cos(2 pi theta) touches zero; the operator stays positive

@@ -46,6 +46,7 @@ from .toeplitz import (
     SpectrumTruncation,
     composition_trace_quadrature,
     default_cutoff,
+    explicit_count,
     explicit_eigenvalues,
     label_product,
     largest_eigenvalue_index,

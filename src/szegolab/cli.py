@@ -3,8 +3,9 @@
 Subcommands reproduce the reference eigenvalue-count tables, run alpha
 scans, classify built-in charts, and cross-check the determinant and
 transform identities.  Reports are emitted as markdown or CSV, to stdout or
-a file.  Exit codes: 0 success, 2 validation error, 3 accuracy failure,
-4 golden-table mismatch.
+a file.  Exit codes: 0 success, 2 validation error (a szegolab error other
+than an accuracy failure, or an unreadable file), 3 accuracy failure,
+4 golden-table mismatch.  Any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -102,27 +103,40 @@ def emit(headers, rows, fmt: str, out_path):
         sys.stdout.write(text)
 
 
+def parse_number(text: str, caster, what: str):
+    """caster(text), with a malformed number reported as a DomainError."""
+    try:
+        return caster(text)
+    except ValueError:
+        raise DomainError(f"could not parse {what} {text!r}") from None
+
+
 def parse_phi(spec: str):
     kind, _, rest = spec.partition(":")
     if kind == "pow":
-        return power_phi(float(rest))
+        return power_phi(parse_number(rest, float, "power"))
     if kind == "poly":
-        return poly_phi([float(c) for c in rest.split(",") if c.strip()])
+        return poly_phi([parse_number(c, float, "coefficient")
+                         for c in rest.split(",") if c.strip()])
     raise DomainError(f"unknown phi spec {spec!r}; use pow:<p> or poly:<c1,c2,...>")
 
 
 def load_config(path: str) -> dict:
     """Flat key=value lines; '#' starts a comment; no sections."""
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DomainError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-            key, _, value = line.partition("=")
-            out[key.strip().replace("-", "_")] = value.strip()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DomainError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+        key, _, value = line.partition("=")
+        out[key.strip().replace("-", "_")] = value.strip()
     return out
 
 
@@ -135,14 +149,11 @@ def apply_config(args: argparse.Namespace, config: dict) -> None:
     # Flags override the file: only fill in values the user did not pass.
     for key, caster in _CONFIG_TYPES.items():
         if getattr(args, key, None) is None and key in config:
-            setattr(args, key, caster(config[key]))
+            setattr(args, key, parse_number(config[key], caster, f"config {key}"))
 
 
 def parse_alpha_list(text: str):
-    try:
-        values = [float(a) for a in text.split(",") if a.strip()]
-    except ValueError:
-        raise DomainError(f"could not parse alpha list {text!r}")
+    values = [parse_number(a, float, "alpha") for a in text.split(",") if a.strip()]
     if not values:
         raise DomainError("alpha list is empty")
     return values
@@ -347,7 +358,7 @@ def main(argv=None) -> int:
     except AccuracyError as exc:
         print(f"accuracy error: {exc}", file=sys.stderr)
         return EXIT_ACCURACY
-    except (DomainError, SzegolabError, OSError, ValueError) as exc:
+    except (SzegolabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -175,6 +175,8 @@ def random_metric_pair(d: int, rng: np.random.Generator, eps: float = 0.5):
     exactly the shape in which the pullback data arises, so W = G^{-1}H is
     skew-adjoint with respect to G.
     """
+    if d < 1:
+        raise DomainError(f"block dimension must be >= 1, got {d}")
     a = rng.uniform(-1.0, 1.0, size=(d, d))
     b = rng.uniform(-1.0, 1.0, size=(d, d))
     g = a.T @ a + eps * np.eye(d)

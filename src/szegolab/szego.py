@@ -22,6 +22,8 @@ from .geometry import ChartedSubmanifold
 from .toeplitz import (
     CircleSymbolModel,
     SpectrumTruncation,
+    _at_norm_bound,
+    explicit_count,
     explicit_eigenvalues,
     largest_eigenvalue_index,
 )
@@ -273,10 +275,11 @@ def eigen_count(spectrum: SpectrumTruncation, t1: float, t2: float) -> int:
     that overshoot the bound at finite alpha (the peak approaches it from
     above, by an O(1/alpha) excess) are counted as inside: the bound is the
     asymptotic essential sup of the spectrum, and the reference tables were
-    generated with that convention.
+    generated with that convention.  For the explicit spectrum,
+    ``toeplitz.explicit_count`` gives the same count without the spectrum.
     """
     lam = spectrum.eigenvalues
-    if t2 >= spectrum.norm_bound * (1.0 - 1e-12):
+    if _at_norm_bound(t2, spectrum.norm_bound):
         return int(np.sum(lam >= t1))
     return int(np.sum((lam >= t1) & (lam <= t2)))
 
@@ -363,6 +366,8 @@ def convergence_scan(template: CircleSymbolModel,
 
     Exactly one of ``phi`` (trace of phi of the operator) or ``interval``
     (eigenvalue counting) must be given.  Rows come back in grid order.
+    Counts come from ``explicit_count`` and never build the spectrum; traces
+    sum ``phi`` over ``explicit_eigenvalues``.
     """
     if (phi is None) == (interval is None):
         raise DomainError("provide exactly one of phi or interval")
@@ -375,15 +380,16 @@ def convergence_scan(template: CircleSymbolModel,
 
     def row(alpha: float) -> ScanRow:
         model = replace(template, alpha=float(alpha))
-        spectrum = explicit_eigenvalues(model, cutoff=cutoff)
-        scale = math.sqrt(math.pi / alpha)
         if interval is not None:
-            n_count = eigen_count(spectrum, t1, t2)
+            n_count = explicit_count(model, t1, t2, cutoff=cutoff)
+            scale = math.sqrt(math.pi / alpha)
             return ScanRow(alpha=float(alpha),
                            lhs_scaled=scale * n_count,
                            rhs_limit=rhs,
                            count_n=n_count,
                            rhs_asymptotic_count=rhs / scale)
+        spectrum = explicit_eigenvalues(model, cutoff=cutoff)
+        scale = math.sqrt(math.pi / alpha)
         with np.errstate(under="ignore"):
             lhs = scale * float(np.sum(phi(spectrum.eigenvalues)))
         return ScanRow(alpha=float(alpha), lhs_scaled=lhs, rhs_limit=rhs)

@@ -11,6 +11,7 @@ which serve as independent oracles for the spectral formulas.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -29,6 +30,7 @@ __all__ = [
     "largest_eigenvalue_index",
     "default_cutoff",
     "explicit_eigenvalues",
+    "explicit_count",
     "matrix_elements",
     "hermitian_eigenvalues",
     "phase_value",
@@ -39,6 +41,21 @@ __all__ = [
 ]
 
 _SYMBOL_GRID = 4096
+
+# Size caps, checked before anything of that size is allocated; a request
+# beyond one raises DomainError (CLI exit 2).  MAX_SPECTRUM_TERMS bounds
+# ``explicit_eigenvalues``, which holds 16 bytes per term (the values in
+# index order and sorted) and evaluates them _CHUNK at a time (about 2 MB of
+# log-gamma temporaries), so 4e6 terms cost about 66 MB; counts do not need
+# the spectrum and have no cap.  MAX_MATRIX_ORDER bounds ``matrix_elements``:
+# a dense complex matrix of order 4096 takes 16 * 4096^2 B = 256 MiB before
+# the eigensolve's workspace.
+MAX_SPECTRUM_TERMS = 4_000_000
+MAX_MATRIX_ORDER = 4096
+_CHUNK = 1 << 14
+# Most probes per bracket and level of the windowed count: brackets up to
+# 257^L indices close in L levels (L = 4 at m* ~ 5e7).
+_MAX_PROBES = 256
 
 
 @dataclass(frozen=True)
@@ -60,8 +77,9 @@ class CircleSymbolModel:
     def __post_init__(self):
         if not 0.0 < self.r < 1.0:
             raise DomainError(f"circle radius must lie in (0, 1), got {self.r}")
-        if not self.alpha > -1.0:
-            raise DomainError(f"weight parameter must exceed -1, got {self.alpha}")
+        if not -1.0 < self.alpha < math.inf:
+            raise DomainError(
+                f"weight parameter must be finite and exceed -1, got {self.alpha}")
         if self.fourier is not None:
             coeffs = tuple(complex(c) for c in self.fourier)
             if not coeffs:
@@ -75,6 +93,12 @@ class CircleSymbolModel:
                     f"symbol is negative on the check grid (min {vals.min():.3e})")
         sup = 1.0 if self.fourier is None else float(vals.max())
         object.__setattr__(self, "norm_bound", sup / (1.0 - self.r ** 2) ** 2)
+
+    @functools.cached_property
+    def _log_gamma_a1(self) -> float:
+        # log Gamma(alpha + 1), shared by every log-eigenvalue evaluation of
+        # this model.
+        return log_gamma(self.alpha + 1.0)
 
     @property
     def is_constant_one(self) -> bool:
@@ -138,15 +162,26 @@ def largest_eigenvalue_index(r: float, alpha: float) -> int:
     return int(math.floor((alpha + 1.0) * r * r / (1.0 - r * r) + 1e-9))
 
 
-def _log_eigenvalues(model: CircleSymbolModel, count: int) -> np.ndarray:
-    # log of the normalized eigenvalues: sqrt(2 pi / alpha) (1-r^2)^(alpha-1)
-    # * Gamma(alpha+m+2) / (Gamma(alpha+1) m!) * r^(2m+1)
+def _log_eigenvalues(model: CircleSymbolModel, m) -> np.ndarray:
+    """Log of the normalized eigenvalues at the basis indices ``m``.
+
+    sqrt(2 pi / alpha) (1-r^2)^(alpha-1) Gamma(alpha+m+2) / (Gamma(alpha+1) m!)
+    * r^(2m+1).  Both index-dependent log-gammas go through one ``log_gamma``
+    call, and an entry does not depend on which other indices share the call,
+    so a probe of a few indices matches the full spectrum bit for bit.
+    """
     r, a = model.r, model.alpha
-    m = np.arange(count + 1, dtype=float)
+    m = np.asarray(m, dtype=float)
+    lg = log_gamma(np.concatenate((a + m + 2.0, m + 1.0)))
     return (0.5 * math.log(2.0 * math.pi / a)
             + (a - 1.0) * math.log(1.0 - r * r)
-            + log_gamma(a + m + 2.0) - log_gamma(a + 1.0) - log_gamma(m + 1.0)
+            + lg[:m.size] - model._log_gamma_a1 - lg[m.size:]
             + (2.0 * m + 1.0) * math.log(r))
+
+
+def _eigenvalues_at(model: CircleSymbolModel, m) -> np.ndarray:
+    with np.errstate(under="ignore"):
+        return np.exp(_log_eigenvalues(model, m))
 
 
 def default_cutoff(model: CircleSymbolModel) -> int:
@@ -154,7 +189,10 @@ def default_cutoff(model: CircleSymbolModel) -> int:
 
     Starts at m* + ceil(12 (sqrt(alpha+1) r/(1-r^2) + 50)) and extends until
     the last eigenvalue sits below 1e-14 of the largest (eigenvalues decay
-    geometrically past the peak, ratio -> r^2).
+    geometrically past the peak, ratio -> r^2).  The spectrum is unimodal
+    with its peak at m* (ties at m* - 1 when (alpha+1) r^2/(1-r^2) is an
+    integer), so each step evaluates m* - 1, m*, m* + 1 and the candidate
+    cutoff only.
     """
     if not model.alpha > 0.0:
         raise DomainError("cutoff rule requires alpha > 0")
@@ -162,10 +200,21 @@ def default_cutoff(model: CircleSymbolModel) -> int:
     m_peak = largest_eigenvalue_index(r, a)
     cut = m_peak + math.ceil(12.0 * (math.sqrt(a + 1.0) * r / (1.0 - r * r) + 50.0))
     while True:
-        ln = _log_eigenvalues(model, cut)
+        ln = _log_eigenvalues(model, [max(m_peak - 1, 0), m_peak, m_peak + 1, cut])
         if ln[-1] < ln.max() + math.log(1e-14):
             return cut
         cut = int(cut * 1.25) + 8
+
+
+def _checked_cutoff(model: CircleSymbolModel, cutoff: Optional[int]) -> int:
+    if not model.is_constant_one:
+        raise DomainError("explicit eigenvalues exist only for the constant symbol")
+    if not model.alpha > 0.0:
+        raise DomainError("explicit eigenvalue formula requires alpha > 0")
+    cut = default_cutoff(model) if cutoff is None else int(cutoff)
+    if cut < 0:
+        raise DomainError(f"cutoff must be nonnegative, got {cutoff}")
+    return cut
 
 
 def explicit_eigenvalues(model: CircleSymbolModel,
@@ -174,17 +223,18 @@ def explicit_eigenvalues(model: CircleSymbolModel,
 
     Evaluated entirely in log space; the result is the descending spectrum
     of the operator scaled by 1/sqrt(2 pi alpha), truncated at ``cutoff``
-    (default: the geometric-decay rule).
+    (default: the geometric-decay rule).  Raises DomainError, before
+    allocating, when the spectrum would exceed MAX_SPECTRUM_TERMS terms.
     """
-    if not model.is_constant_one:
-        raise DomainError("explicit eigenvalues exist only for the constant symbol")
-    if not model.alpha > 0.0:
-        raise DomainError("explicit eigenvalue formula requires alpha > 0")
-    cut = default_cutoff(model) if cutoff is None else int(cutoff)
-    if cut < 0:
-        raise DomainError(f"cutoff must be nonnegative, got {cutoff}")
-    with np.errstate(under="ignore"):
-        lam = np.exp(_log_eigenvalues(model, cut))
+    cut = _checked_cutoff(model, cutoff)
+    if cut + 1 > MAX_SPECTRUM_TERMS:
+        raise DomainError(
+            f"explicit spectrum would hold {cut + 1} terms, above the cap of "
+            f"{MAX_SPECTRUM_TERMS} (r={model.r:g}, alpha={model.alpha:g})")
+    lam = np.empty(cut + 1)
+    for start in range(0, cut + 1, _CHUNK):
+        stop = min(start + _CHUNK, cut + 1)
+        lam[start:stop] = _eigenvalues_at(model, np.arange(start, stop))
     ratio_next = (model.alpha + 1.0) * model.r ** 2 / (cut + 1.0) + model.r ** 2
     tail = lam[-1] * ratio_next / (1.0 - ratio_next) if ratio_next < 1.0 else math.inf
     return SpectrumTruncation(
@@ -198,6 +248,96 @@ def explicit_eigenvalues(model: CircleSymbolModel,
     )
 
 
+def _at_norm_bound(t2: float, norm_bound: float) -> bool:
+    """Whether a counting interval reaches the operator-norm bound.
+
+    Such an interval counts every eigenvalue >= t1, including the few that
+    overshoot the bound at finite alpha (see ``szego.eigen_count``).
+    """
+    return t2 >= norm_bound * (1.0 - 1e-12)
+
+
+def _bracket_probes(lo: int, hi: int) -> np.ndarray:
+    """Indices strictly inside (lo, hi) for one level of k-ary refinement.
+
+    Up to _MAX_PROBES + 1 gaps every index is probed.  A wider bracket needs
+    L = ceil(log_{_MAX_PROBES+1}(gaps)) levels; it gets about gaps^(1/L)
+    evenly spread probes, so its remaining levels stay at L - 1 at a fraction
+    of the probes.
+    """
+    gaps = hi - lo
+    if gaps <= _MAX_PROBES + 1:
+        return np.arange(lo + 1, hi)
+    levels = math.ceil(math.log(gaps) / math.log(_MAX_PROBES + 1))
+    k = min(_MAX_PROBES, math.ceil(gaps ** (1.0 / levels)) - 1)
+    return lo + (np.arange(1, k + 1) * gaps) // (k + 1)
+
+
+def _narrow(bracket: list, idx: np.ndarray, lam: np.ndarray) -> None:
+    # bracket = [lo, hi, t, rising]: the predicate (lam >= t on the rising
+    # side, lam < t on the falling side) is False at lo, True at hi and
+    # monotone in between; move lo and hi to the probes that still straddle
+    # the switch.
+    lo, hi, t, rising = bracket
+    inside = (idx > lo) & (idx < hi)
+    q, v = idx[inside], lam[inside]
+    hit = v >= t if rising else v < t
+    j = int(np.argmax(hit)) if hit.any() else q.size
+    if j > 0:
+        bracket[0] = int(q[j - 1])
+    if j < q.size:
+        bracket[1] = int(q[j])
+
+
+def _count_at_least(model: CircleSymbolModel, cut: int, thresholds) -> list:
+    """#{m in [0, cut] : lambda_m >= t} for each t, by bracket refinement.
+
+    lambda_{m+1}/lambda_m = r^2 (alpha+m+2)/(m+1) decreases in m, so
+    {m : lambda_m >= t} is one index interval around the peak.  Its ends are
+    found on the rising side [0, peak] and the falling side [peak, cut] of
+    every threshold at once: each level probes all open brackets through one
+    ``log_gamma`` call.
+    """
+    m_star = min(largest_eigenvalue_index(model.r, model.alpha), cut)
+    near = np.arange(max(m_star - 1, 0), min(m_star + 1, cut) + 1)
+    idx = np.unique(np.concatenate(
+        (near, _bracket_probes(-1, m_star), _bracket_probes(m_star, cut + 1))))
+    lam = _eigenvalues_at(model, idx)
+    at_near = lam[np.searchsorted(idx, near)]
+    peak, top = int(near[np.argmax(at_near)]), float(at_near.max())
+    pairs = [([-1, peak, t, True], [peak, cut + 1, t, False]) if top >= t else None
+             for t in thresholds]
+    open_ = [b for pair in pairs if pair for b in pair]
+    while open_:
+        for b in open_:
+            _narrow(b, idx, lam)
+        open_ = [b for b in open_ if b[1] - b[0] > 1]
+        if open_:
+            idx = np.unique(np.concatenate([_bracket_probes(b[0], b[1]) for b in open_]))
+            lam = _eigenvalues_at(model, idx)
+    # first index >= t on the rising side is its hi; last on the falling side its lo
+    return [pair[1][0] - pair[0][1] + 1 if pair else 0 for pair in pairs]
+
+
+def explicit_count(model: CircleSymbolModel, t1: float, t2: float,
+                   cutoff: Optional[int] = None) -> int:
+    """Number of explicit eigenvalues in [t1, t2], without building the spectrum.
+
+    Equals ``eigen_count(explicit_eigenvalues(model, cutoff), t1, t2)``: the
+    same computed values are compared the same way, and an upper end at the
+    norm bound counts every eigenvalue >= t1.  The count is
+    #{lambda >= t1} - #{lambda >= nextafter(t2, inf)}, each term found by
+    bracket refinement at O(log alpha) ``log_gamma`` arguments, so it runs in
+    bounded memory where the spectrum itself would exceed its cap.
+    """
+    cut = _checked_cutoff(model, cutoff)
+    if _at_norm_bound(t2, model.norm_bound):
+        return _count_at_least(model, cut, [t1])[0]
+    at_least_t1, above_t2 = _count_at_least(
+        model, cut, [t1, math.nextafter(t2, math.inf)])
+    return max(at_least_t1 - above_t2, 0)
+
+
 def matrix_elements(model: CircleSymbolModel,
                     cutoff: Optional[int] = None) -> np.ndarray:
     """Truncated operator in the monomial basis (unnormalized).
@@ -205,11 +345,16 @@ def matrix_elements(model: CircleSymbolModel,
     Entry (j, k) equals c_alpha (1-r^2)^alpha (2 pi r/(1-r^2)) delta_j
     delta_k r^{j+k} a_hat[j-k]; the conjugate symmetry of the coefficients
     makes the matrix Hermitian.  A constant symbol gives the diagonal of
-    closed-form eigenvalues times sqrt(2 pi alpha).
+    closed-form eigenvalues times sqrt(2 pi alpha).  Raises DomainError,
+    before allocating, above order MAX_MATRIX_ORDER.
     """
     cut = default_cutoff(model) if cutoff is None else int(cutoff)
     if cut < 0:
         raise DomainError(f"cutoff must be nonnegative, got {cutoff}")
+    if cut + 1 > MAX_MATRIX_ORDER:
+        raise DomainError(
+            f"dense matrix would have order {cut + 1}, above the cap of "
+            f"{MAX_MATRIX_ORDER} (r={model.r:g}, alpha={model.alpha:g})")
     r, a = model.r, model.alpha
     m = np.arange(cut + 1, dtype=float)
     log_delta = 0.5 * (log_gamma(m + a + 2.0) - log_gamma(m + 1.0)

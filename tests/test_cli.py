@@ -103,6 +103,20 @@ class TestScan:
     def test_bad_alpha_list(self, capsys):
         assert run(["scan", "--r", "0.5", "--alpha", "ten", "--phi", "pow:1"]) == 2
 
+    def test_malformed_phi_numbers_exit_2(self, capsys):
+        for spec in ("pow:x", "pow:", "poly:1,a"):
+            assert run(["scan", "--r", "0.5", "--alpha", "100", "--phi", spec]) == 2
+        assert "could not parse" in capsys.readouterr().err
+
+    def test_near_unit_radius(self, capsys):
+        # m* ~ 5e7: the count is windowed, the trace would need the whole
+        # spectrum and is refused before allocating it.
+        assert run(["scan", "--r", "0.999", "--alpha", "1e5", "--t1", "1e4",
+                    "--t2", "2e5", "--format", "csv"]) == 0
+        assert int(capsys.readouterr().out.splitlines()[1].split(",")[1]) > 5e5
+        assert run(["scan", "--r", "0.999", "--alpha", "1e5", "--phi", "pow:1"]) == 2
+        assert "cap" in capsys.readouterr().err
+
     def test_poly_phi_spec(self, capsys):
         assert run(["scan", "--r", "0.5", "--alpha", "1000",
                     "--phi", "poly:2,3"]) == 0
@@ -186,6 +200,31 @@ class TestConfig:
 
     def test_missing_config_file(self, capsys):
         assert run(["scan", "--config", "/nonexistent/x.cfg"]) == 2
+
+    def test_malformed_config_values(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("r = 0.5\nalpha = 100\nphi = pow:1\nm = 2.5\n")
+        assert run(["scan", "--config", str(cfg)]) == 2
+        cfg.write_bytes(b"r = 0.5\xff\n")
+        assert run(["scan", "--config", str(cfg)]) == 2
+        assert "error" in capsys.readouterr().err
+
+
+class TestExitContract:
+    def test_internal_value_error_is_not_a_validation_error(self, monkeypatch):
+        # Only deliberate validation failures (DomainError and the other
+        # szegolab errors) map to exit 2; a ValueError from inside is a bug
+        # and must surface.
+        def broken(*args, **kwargs):
+            raise ValueError("internal failure")
+
+        monkeypatch.setattr(cli, "convergence_scan", broken)
+        with pytest.raises(ValueError, match="internal failure"):
+            run(["scan", "--r", "0.5", "--alpha", "100", "--phi", "pow:1"])
+
+    def test_invalid_block_dimension_exit_2(self, capsys):
+        assert run(["hessdet", "--d", "0"]) == 2
+        assert run(["hessdet", "--d", "-1"]) == 2
 
 
 class TestParser:

@@ -1,14 +1,19 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.special import gammaln
 
 from szegolab import (
     BallPoint,
     CircleSymbolModel,
     composition_trace_quadrature,
     default_cutoff,
+    eigen_count,
+    explicit_count,
     explicit_eigenvalues,
     hermitian_eigenvalues,
     label_product,
@@ -16,8 +21,16 @@ from szegolab import (
     matrix_elements,
     phase_value,
 )
-from szegolab.toeplitz import label_product_batch, phase_imag_batch
+from szegolab.toeplitz import (
+    MAX_MATRIX_ORDER,
+    MAX_SPECTRUM_TERMS,
+    _log_eigenvalues,
+    label_product_batch,
+    phase_imag_batch,
+)
 from szegolab.errors import ContractViolation, DomainError
+
+PROPERTY = settings(max_examples=40, deadline=None, database=None)
 
 
 class TestModelValidation:
@@ -26,6 +39,10 @@ class TestModelValidation:
             CircleSymbolModel(r=1.0, alpha=5.0)
         with pytest.raises(DomainError):
             CircleSymbolModel(r=0.5, alpha=-1.0)
+
+    def test_weight_must_be_finite(self):
+        with pytest.raises(DomainError):
+            CircleSymbolModel(r=0.5, alpha=math.inf)
 
     def test_symbol_must_be_nonnegative(self):
         # a = 1 + 3 cos(2 pi theta) dips below zero
@@ -121,7 +138,146 @@ class TestExplicitEigenvalues:
                 assert lam_max <= envelope * (1.0 + 1e-9)
 
 
+def _full_array_cutoff(model):
+    # The cutoff rule as it was first written: every log-eigenvalue over
+    # [0, cut] at each growth step.
+    r, a = model.r, model.alpha
+    cut = largest_eigenvalue_index(r, a) + math.ceil(
+        12.0 * (math.sqrt(a + 1.0) * r / (1.0 - r * r) + 50.0))
+    while True:
+        ln = _log_eigenvalues(model, np.arange(cut + 1))
+        if ln[-1] < ln.max() + math.log(1e-14):
+            return cut
+        cut = int(cut * 1.25) + 8
+
+
+def _threshold(spec, model, kind, u):
+    lam = spec.by_index
+    if kind == 0:
+        return float(spec.eigenvalues[0])              # the peak value itself
+    if kind == 1:
+        return model.norm_bound
+    if kind == 2:
+        return float(lam[int(u * (lam.size - 1))])     # exactly an eigenvalue
+    if kind == 3:
+        return math.nextafter(float(lam[int(u * (lam.size - 1))]), math.inf)
+    return float(spec.eigenvalues[0]) * 10.0 ** (-40.0 * u)
+
+
+class TestExplicitCount:
+    # Hypothesis favours small floats, so the large-weight corners and the
+    # exact peak tie at r = 1/sqrt(2) are pinned as explicit examples.
+    @PROPERTY
+    @example(r=0.95, log_alpha=5.0, cut_scale=None,
+             picks=[(0, 0.0, 1, 0.0), (2, 0.5, 0, 0.0), (3, 0.4, 4, 0.3)])
+    @example(r=1 / math.sqrt(2), log_alpha=5.0, cut_scale=None,
+             picks=[(0, 0.0, 0, 0.0), (4, 0.01, 2, 0.9), (2, 0.2, 3, 0.2)])
+    @example(r=0.5, log_alpha=5.0, cut_scale=0.3,
+             picks=[(4, 0.2, 1, 0.0), (2, 0.1, 2, 0.3)])
+    @example(r=0.05, log_alpha=0.0, cut_scale=0.0, picks=[(4, 1.0, 1, 0.0)])
+    @given(r=st.floats(0.05, 0.95), log_alpha=st.floats(0.0, 5.0),
+           cut_scale=st.one_of(st.none(), st.floats(0.0, 2.0)),
+           picks=st.lists(st.tuples(st.integers(0, 4), st.floats(0.0, 1.0),
+                                    st.integers(0, 4), st.floats(0.0, 1.0)),
+                          min_size=1, max_size=8))
+    def test_matches_full_spectrum_count(self, r, log_alpha, cut_scale, picks):
+        model = CircleSymbolModel(r=r, alpha=10.0 ** log_alpha)
+        cutoff = None if cut_scale is None else int(cut_scale * default_cutoff(model))
+        spec = explicit_eigenvalues(model, cutoff=cutoff)
+        for k1, u1, k2, u2 in picks:
+            t1 = _threshold(spec, model, k1, u1)
+            t2 = _threshold(spec, model, k2, u2)
+            for lo, hi in ((t1, t2), (t2, t1)):
+                assert explicit_count(model, lo, hi, cutoff=cutoff) == \
+                    eigen_count(spec, lo, hi)
+
+    @PROPERTY
+    @example(r=0.95, log_alpha=5.0)
+    @example(r=1 / math.sqrt(2), log_alpha=5.0)
+    @example(r=0.6, log_alpha=4.3)
+    @given(r=st.floats(0.05, 0.95), log_alpha=st.floats(0.0, 5.0))
+    def test_log_eigenvalues_unimodal(self, r, log_alpha):
+        # The windowed count and the cutoff rule rely on the computed values
+        # rising to a peak at m* (or m* - 1 at a tie) and falling after it.
+        model = CircleSymbolModel(r=r, alpha=10.0 ** log_alpha)
+        ln = _log_eigenvalues(model, np.arange(default_cutoff(model) + 1))
+        peak = int(np.argmax(ln))
+        assert peak - largest_eigenvalue_index(r, model.alpha) in (-1, 0, 1)
+        steps = np.diff(ln)
+        assert np.all(steps[:peak] >= 0.0) and np.all(steps[peak:] <= 0.0)
+
+    def test_cutoff_matches_full_array_rule(self):
+        for r in (*np.linspace(0.05, 0.95, 10), 1 / math.sqrt(2)):
+            for alpha in np.logspace(0.0, 5.0, 11):
+                model = CircleSymbolModel(r=float(r), alpha=float(alpha))
+                assert default_cutoff(model) == _full_array_cutoff(model)
+
+    def test_probes_match_full_spectrum_bitwise(self):
+        model = CircleSymbolModel(r=0.6, alpha=3e4)
+        full = _log_eigenvalues(model, np.arange(default_cutoff(model) + 1))
+        idx = np.array([0, 17, 5000, 16899, full.size - 1])
+        assert np.array_equal(_log_eigenvalues(model, idx), full[idx])
+
+    def test_near_unit_radius_bounded_memory(self):
+        # m* is about 5e7 here: the spectrum would need ~830 MB, the count
+        # probes a few hundred indices.  Oracle: the crossings of t1 and t2,
+        # bisected on scipy's gammaln; the eigenvalues there are ~1e-5 apart
+        # (relative), far above the log-gamma differences between the two.
+        model = CircleSymbolModel(r=0.999, alpha=1e5)
+        t1, t2 = 1e4, 2e5
+        tracemalloc.start()
+        try:
+            got = explicit_count(model, t1, t2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
+        r, a = model.r, model.alpha
+
+        def log_lam(m):
+            return (0.5 * math.log(2 * math.pi / a) + (a - 1) * math.log(1 - r * r)
+                    + gammaln(a + m + 2) - gammaln(a + 1) - gammaln(m + 1)
+                    + (2 * m + 1) * math.log(r))
+
+        def crossing(lo, hi, t):
+            # first index in (lo, hi] where log_lam >= log t switches state
+            above_lo = log_lam(lo) >= math.log(t)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if (log_lam(mid) >= math.log(t)) == above_lo:
+                    lo = mid
+                else:
+                    hi = mid
+            return hi
+
+        m_star = largest_eigenvalue_index(r, a)
+        cut = default_cutoff(model)
+        want = ((crossing(m_star, cut, t1) - crossing(0, m_star, t1))
+                - (crossing(m_star, cut, t2) - crossing(0, m_star, t2)))
+        assert abs(got - want) <= 2
+        assert got > 5e5
+
+    def test_near_unit_radius_spectrum_refused(self):
+        model = CircleSymbolModel(r=0.999, alpha=1e5)
+        assert default_cutoff(model) + 1 > MAX_SPECTRUM_TERMS
+        with pytest.raises(DomainError, match="cap"):
+            explicit_eigenvalues(model)
+
+    def test_rejects_fourier_symbol_and_negative_cutoff(self):
+        with pytest.raises(DomainError):
+            explicit_count(CircleSymbolModel(r=0.5, alpha=5.0, fourier=(1.0, 0.2)), 0.1, 1.0)
+        with pytest.raises(DomainError):
+            explicit_count(CircleSymbolModel(r=0.5, alpha=5.0), 0.1, 1.0, cutoff=-1)
+
+
 class TestMatrixElements:
+    def test_dense_matrix_refused_above_cap(self):
+        model = CircleSymbolModel(r=0.5, alpha=1e5, fourier=(1.0, 0.3))
+        assert default_cutoff(model) + 1 > MAX_MATRIX_ORDER
+        with pytest.raises(DomainError, match="cap"):
+            matrix_elements(model)
+
     def test_constant_symbol_is_diagonal(self):
         model = CircleSymbolModel(r=0.5, alpha=7.0)
         mat = matrix_elements(model, cutoff=40)
@@ -234,13 +390,16 @@ class TestHermitianEigenvalues:
         with pytest.raises(ContractViolation):
             hermitian_eigenvalues(np.array([[1.0, 2.0], [0.5, 1.0]]))
 
-    def test_large_matrix_against_numpy(self):
+    def test_large_matrix_known_spectrum(self):
+        # U diag(lam) U^H with U unitary (QR of a complex Gaussian) has the
+        # spectrum lam by construction.
         rng = np.random.default_rng(53)
-        a = rng.normal(size=(150, 150)) + 1j * rng.normal(size=(150, 150))
-        a = a + a.conj().T
+        q, _ = np.linalg.qr(rng.normal(size=(150, 150)) + 1j * rng.normal(size=(150, 150)))
+        lam = np.sort(rng.uniform(-10.0, 10.0, size=150))[::-1]
+        a = (q * lam) @ q.conj().T
+        a = 0.5 * (a + a.conj().T)
         got = hermitian_eigenvalues(a)
-        want = np.sort(np.linalg.eigvalsh(a))[::-1]
-        assert np.max(np.abs(got - want)) < 1e-11 * np.max(np.abs(want))
+        assert np.max(np.abs(got - lam)) < 1e-11 * np.max(np.abs(lam))
 
 
 class TestPhase:

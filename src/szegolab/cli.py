@@ -269,8 +269,9 @@ def cmd_qcheck(args) -> int:
     worst = 0.0
     for p in grid["powers"]:
         for eps in grid["orders"]:
-            for t in grid["points"]:
-                got = q_transform(QTransformSpec(epsilon=eps, phi=power_phi(p)), t)
+            computed = q_transform(QTransformSpec(epsilon=eps, phi=power_phi(p)),
+                                   np.array(grid["points"]))
+            for t, got in zip(grid["points"], computed.tolist()):
                 want = t ** p / p ** eps
                 rel = abs(got - want) / abs(want)
                 worst = max(worst, rel)

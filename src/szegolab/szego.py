@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import AccuracyError, DomainError
-from .quadrature import adaptive_integral, graded_edges
+from .quadrature import BLOCK_ELEMENTS, adaptive_integral, graded_edges
 from .specfun import WeightedModel
 from .geometry import ChartedSubmanifold
 from .toeplitz import (
@@ -72,9 +72,9 @@ class PhiFunction:
 
 
 def power_phi(p: float) -> PhiFunction:
-    """phi(s) = s^p for p > 0."""
-    if not p > 0.0:
-        raise DomainError(f"power must be positive, got {p}")
+    """phi(s) = s^p for finite p > 0."""
+    if not (p > 0.0 and math.isfinite(p)):
+        raise DomainError(f"power must be positive and finite, got {p}")
 
     def fn(s):
         with np.errstate(under="ignore"):
@@ -84,10 +84,12 @@ def power_phi(p: float) -> PhiFunction:
 
 
 def poly_phi(coeffs: Sequence[float]) -> PhiFunction:
-    """phi(s) = c_1 s + c_2 s^2 + ... (no constant term)."""
+    """phi(s) = c_1 s + c_2 s^2 + ... (no constant term, finite c_k)."""
     cs = tuple(float(c) for c in coeffs)
     if not cs:
         raise DomainError("polynomial needs at least one coefficient")
+    if not all(math.isfinite(c) for c in cs):
+        raise DomainError(f"polynomial coefficients must be finite, got {cs}")
 
     def fn(s):
         s = np.asarray(s, dtype=float)
@@ -115,8 +117,12 @@ class QTransformSpec:
             raise DomainError(f"transform order must be >= 0, got {self.epsilon}")
 
 
-def q_transform(spec: QTransformSpec, t: float) -> float:
-    """Log-kernel fractional integral of phi at t > 0.
+# Order doublings of the transform's Gauss ladder.
+Q_MAX_DOUBLINGS = 6
+
+
+def q_transform(spec: QTransformSpec, t):
+    """Log-kernel fractional integral of phi at t > 0, a scalar or a 1-D array.
 
     For epsilon = 0 this is phi(t) itself.  For epsilon > 0,
     (1/Gamma(eps)) int_0^t phi(s) (ln(t/s))^{eps-1} ds/s is evaluated after
@@ -124,28 +130,67 @@ def q_transform(spec: QTransformSpec, t: float) -> float:
     singularity:
         (1/Gamma(eps+1)) int_0^inf phi(t e^{-v^{1/eps}}) dv.
     Geometrically graded panels toward v = 0 handle the Holder endpoint for
-    eps > 1; the tail is cut where the argument of phi underflows (phi
-    vanishes at 0 at declared rate p).  Monomials come out to ~1e-15
-    relative; the contract target is 1e-8.
+    eps > 1; the tail is cut at v_max(t), where the argument of phi
+    underflows (phi vanishes at 0 at declared rate p).  Monomials come out
+    to ~1e-15 relative; the contract target is 1e-8.
+
+    The panels are v_max(t) times one set of unit edges, so every t shares
+    the unit nodes and weights and its integral is scaled by v_max(t).  An
+    array of t is one vector integrand of the Gauss ladder, taken in chunks
+    of rows small enough that one panel at the ladder's top order stays
+    within ``quadrature.BLOCK_ELEMENTS`` values; each element is accepted at
+    its own first agreeing order, so it equals the scalar call for that t.
+    The block bound keeps the temporaries in cache, which ran faster than
+    larger blocks.  An element that exhausts the ladder raises AccuracyError
+    naming its t.  A scalar t gives a float, an array t an array.
     """
-    if not t > 0.0:
-        raise DomainError(f"transform evaluation point must be positive, got {t}")
+    scalar = np.ndim(t) == 0
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    if ts.ndim > 1:
+        raise DomainError(f"transform evaluation points must be a scalar or 1-D, "
+                          f"got shape {ts.shape}")
+    bad = ~(np.isfinite(ts) & (ts > 0.0))
+    if bad.any():
+        raise DomainError(f"transform evaluation point must be positive and finite, "
+                          f"got {ts[bad][0]}")
     eps = spec.epsilon
     if eps == 0.0:
-        return float(spec.phi(np.array([t]))[0])
-    u_max = (710.0 + abs(math.log(t))) / min(spec.phi.p_exponent, 1.0)
-    v_max = u_max ** eps
-    inv_eps = 1.0 / eps
+        vals = np.asarray(spec.phi(ts), dtype=float)
+        return float(vals[0]) if scalar else vals
+    unit_edges = graded_edges(0.0, 1.0, levels=48)
+    v_max = ((710.0 + np.abs(np.log(ts))) / min(spec.phi.p_exponent, 1.0)) ** eps
+    top_order = spec.quad_order * 2 ** Q_MAX_DOUBLINGS
+    rows = max(1, BLOCK_ELEMENTS // top_order)
+    vals = np.empty_like(ts)
+    with np.errstate(under="ignore"):
+        for start in range(0, ts.size, rows):
+            chunk = slice(start, start + rows)
+            vals[chunk] = v_max[chunk] * adaptive_integral(
+                _q_integrand(spec.phi, ts[chunk], v_max[chunk], 1.0 / eps), unit_edges,
+                rel_tol=1e-10, order=spec.quad_order, max_doublings=Q_MAX_DOUBLINGS,
+                what=lambda failed, tc=ts[chunk]: (
+                    f"q_transform(eps={eps:g}, t={', '.join(f'{x:g}' for x in tc[failed])})"))
+    vals /= math.gamma(eps + 1.0)
+    return float(vals[0]) if scalar else vals
 
-    def integrand(v):
-        with np.errstate(under="ignore"):
-            return spec.phi(t * np.exp(-np.maximum(v, 0.0) ** inv_eps))
 
-    edges = graded_edges(0.0, v_max, levels=48)
-    val = adaptive_integral(integrand, edges, rel_tol=1e-10,
-                            order=spec.quad_order, max_doublings=6,
-                            what=f"q_transform(eps={eps:g}, t={t:g})")
-    return val / math.gamma(eps + 1.0)
+def _q_integrand(phi: PhiFunction, ts: np.ndarray, v_max: np.ndarray, inv_eps: float):
+    """Rows phi(t e^{-(v_max w)^{1/eps}}) over unit abscissae w, one row per t.
+
+    The argument of phi is built in place in one (len(ts), len(w)) array.
+    """
+    ts = ts[:, None]
+    v_max = v_max[:, None]
+
+    def integrand(w):
+        arg = v_max * np.maximum(w, 0.0)
+        arg **= inv_eps
+        np.negative(arg, out=arg)
+        np.exp(arg, out=arg)
+        arg *= ts
+        return phi(arg)
+
+    return integrand
 
 
 def monomial_rhs_circle(r: float, m: int) -> float:
@@ -174,25 +219,25 @@ def szego_rhs(model: CircleSymbolModel, phi: PhiFunction,
     if model.is_constant_one:
         return circumference * q_transform(spec, scale) / math.sqrt(2.0)
 
-    def mean_on_grid(n_nodes: int) -> float:
-        theta = np.arange(n_nodes) / n_nodes
-        vals = model.symbol_values(theta)
-        total = 0.0
-        for v in vals:
-            if v * scale > 0.0:
-                total += q_transform(spec, v * scale)
-        return total / n_nodes
+    def transformed_sum(theta: np.ndarray) -> float:
+        x = model.symbol_values(theta) * scale
+        positive = x > 0.0
+        return float(np.sum(q_transform(spec, x[positive])))
 
-    prev = None
+    # The periodic grid of 2n nodes holds the grid of n as its even nodes,
+    # so each doubling evaluates only the n new odd nodes.
     n_nodes = quad_order
-    for _ in range(7):
-        cur = mean_on_grid(n_nodes)
-        if prev is not None and abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
+    total = transformed_sum(np.arange(n_nodes) / n_nodes)
+    prev = total / n_nodes
+    for _ in range(6):
+        total += transformed_sum((2.0 * np.arange(n_nodes) + 1.0) / (2 * n_nodes))
+        n_nodes *= 2
+        cur = total / n_nodes
+        if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
             return circumference * cur / math.sqrt(2.0)
         prev = cur
-        n_nodes *= 2
     raise AccuracyError(
-        f"szego_rhs: symbol quadrature did not converge at {n_nodes // 2} nodes")
+        f"szego_rhs: symbol quadrature did not converge at {n_nodes} nodes")
 
 
 def szego_rhs_chart(wmodel: WeightedModel, chart: ChartedSubmanifold,
@@ -211,13 +256,17 @@ def szego_rhs_chart(wmodel: WeightedModel, chart: ChartedSubmanifold,
     expo = wmodel.n + 1.0
 
     def integrand(ts):
-        out = np.empty_like(ts)
+        values = np.empty_like(ts)
+        densities = np.empty_like(ts)
         for i, t in enumerate(ts):
             point = chart.point([t])
             nsq = float(np.sum(np.abs(point) ** 2))
-            value = float(symbol(np.array([t]))) * (1.0 - nsq) ** -expo
-            density = chart.volume_density(wmodel, [t])
-            out[i] = q_transform(spec, value) * density if value > 0 else 0.0
+            values[i] = float(symbol(np.array([t]))) * (1.0 - nsq) ** -expo
+            densities[i] = chart.volume_density(wmodel, [t])
+        out = np.zeros_like(ts)
+        positive = values > 0.0
+        if positive.any():  # no call without a positive value, as in the empty probe
+            out[positive] = q_transform(spec, values[positive]) * densities[positive]
         return out
 
     edges = np.linspace(0.0, 1.0, 9)

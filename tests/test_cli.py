@@ -108,6 +108,11 @@ class TestScan:
             assert run(["scan", "--r", "0.5", "--alpha", "100", "--phi", spec]) == 2
         assert "could not parse" in capsys.readouterr().err
 
+    def test_non_finite_phi_exit_2(self, capsys):
+        for spec in ("pow:inf", "pow:nan", "poly:1,inf"):
+            assert run(["scan", "--r", "0.5", "--alpha", "100", "--phi", spec]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_near_unit_radius(self, capsys):
         # m* ~ 5e7: the count is windowed, the trace would need the whole
         # spectrum and is refused before allocating it.

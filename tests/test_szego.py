@@ -6,6 +6,7 @@ from scipy import integrate
 
 from szegolab import (
     CircleSymbolModel,
+    PhiFunction,
     QTransformSpec,
     WeightedModel,
     boundedness_scan_small_p,
@@ -24,7 +25,9 @@ from szegolab import (
     szego_rhs,
     szego_rhs_chart,
 )
-from szegolab.errors import DomainError
+from szegolab import szego
+from szegolab.errors import AccuracyError, DomainError
+from szegolab.quadrature import adaptive_integral, panel_integral
 
 R_HALF = CircleSymbolModel(r=0.5, alpha=100.0)
 
@@ -60,6 +63,66 @@ class TestQTransform:
             q_transform(QTransformSpec(0.5, power_phi(1.0)), 0.0)
         with pytest.raises(DomainError):
             power_phi(-1.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_phi_parameters_rejected(self, bad):
+        with pytest.raises(DomainError):
+            power_phi(bad)
+        with pytest.raises(DomainError):
+            poly_phi([1.0, bad])
+
+    @pytest.mark.parametrize("t", [math.inf, math.nan, -1.0,
+                                   np.array([1.0, 0.0]), np.array([2.0, math.inf]),
+                                   np.ones((2, 2))])
+    def test_bad_points_rejected_before_the_ladder(self, t, monkeypatch):
+        def ladder(*args, **kwargs):
+            raise AssertionError("reached the Gauss ladder")
+
+        monkeypatch.setattr(szego, "adaptive_integral", ladder)
+        with pytest.raises(DomainError):
+            q_transform(QTransformSpec(0.5, power_phi(1.0)), t)
+
+    def test_array_matches_scalar_calls(self):
+        ts = np.geomspace(1e-3, 1e4, 9)
+        specs = [QTransformSpec(eps, power_phi(p))
+                 for eps in (0.5, 1.0, 1.5, 2.5) for p in (0.05, 0.3, 1.0, 2.0, 3.0)]
+        specs += [QTransformSpec(eps, poly_phi([1.5, -0.25, 0.75])) for eps in (0.5, 1.5)]
+        for spec in specs:
+            got = q_transform(spec, ts)
+            want = np.array([q_transform(spec, float(t)) for t in ts])
+            assert got.shape == ts.shape
+            assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
+
+    def test_scalar_call_returns_float(self):
+        for eps in (0.0, 0.5):
+            assert type(q_transform(QTransformSpec(eps, power_phi(2.0)), 1.5)) is float
+
+    def test_zero_order_array_is_phi(self):
+        phi = poly_phi([2.0, -0.5, 1.0])
+        ts = np.array([0.3, 1.7, 12.0])
+        assert np.array_equal(q_transform(QTransformSpec(0.0, phi), ts), phi(ts))
+
+    def test_exhausted_element_is_named(self):
+        # A jump in phi at s = 1 leaves the integrand discontinuous only for
+        # t > 1: t = 2 exhausts the ladder, its neighbours converge.
+        step = PhiFunction(fn=lambda s: np.where(s < 1.0, s, 0.0), p_exponent=1.0)
+        with pytest.raises(AccuracyError) as exc:
+            q_transform(QTransformSpec(1.0, step), np.array([0.5, 2.0, 0.25]))
+        assert str(exc.value).startswith("q_transform(eps=1, t=2): Gauss ladder exhausted")
+
+
+class TestVectorLadder:
+    def test_components_accepted_on_their_own(self):
+        # x^3 is exact at order 16, so its first agreeing order is 32;
+        # cos(200 x) needs order 128.  Each keeps the value of its own order.
+        edges = [0.0, 0.5, 1.0]
+        rows = (lambda x: x ** 3, lambda x: np.cos(200.0 * x))
+        got = adaptive_integral(lambda x: np.vstack([g(x) for g in rows]), edges, 1e-10)
+        assert got[0] == panel_integral(rows[0], edges, 32)
+        assert got[1] == panel_integral(rows[1], edges, 128)
+        assert panel_integral(rows[1], edges, 64) != got[1]
+        for value, g in zip(got, rows):
+            assert value == adaptive_integral(g, edges, 1e-10)
 
 
 class TestSzegoRhs:
@@ -128,6 +191,28 @@ class TestSzegoRhs:
 
         want, _ = integrate.quad(integrand, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12)
         assert got == pytest.approx(circumference * want, rel=1e-6)
+
+    def test_each_grid_node_transformed_once(self, monkeypatch):
+        # Doubling reuses the even nodes: the transform sees each node of
+        # the final grid once, one call per grid.
+        seen = []
+
+        def counting(spec, t):
+            seen.append(np.size(t))
+            return q_transform(spec, t)
+
+        monkeypatch.setattr(szego, "q_transform", counting)
+        model = CircleSymbolModel(r=0.5, alpha=10.0, fourier=(1.0, 0.3))
+        szego_rhs(model, power_phi(0.5), quad_order=8)
+        assert len(seen) >= 2
+        assert seen == [8] + [8 * 2 ** k for k in range(len(seen) - 1)]
+
+    def test_symbol_zero_fails_fast(self):
+        # a = 1 + cos(2 pi theta) vanishes at theta = 1/2, where a^0.3 is not
+        # smooth: the periodic grid stops at 2048 nodes without settling.
+        model = CircleSymbolModel(r=0.5, alpha=50.0, fourier=(1.0, 0.5))
+        with pytest.raises(AccuracyError, match="2048 nodes"):
+            szego_rhs(model, power_phi(0.3))
 
 
 class TestCountPrediction:

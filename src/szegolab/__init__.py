@@ -59,7 +59,6 @@ from .szego import (
     PhiFunction,
     QTransformSpec,
     ScanRow,
-    boundedness_scan_small_p,
     convergence_scan,
     count_prediction,
     eigen_count,

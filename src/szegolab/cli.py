@@ -61,6 +61,8 @@ GOLDEN_TABLE2 = dict(
 PRED_TOL = 5e-3
 SCALED_TOL = 5e-4
 
+FORMATS = ("md", "csv")
+
 QCHECK_GRID = dict(powers=(0.3, 1.0, 2.0, 5.0), orders=(0.5, 1.0, 1.5),
                    points=(0.1, 1.0, 7.0), tol=1e-8)
 
@@ -150,6 +152,8 @@ def apply_config(args: argparse.Namespace, config: dict) -> None:
     for key, caster in _CONFIG_TYPES.items():
         if getattr(args, key, None) is None and key in config:
             setattr(args, key, parse_number(config[key], caster, f"config {key}"))
+    if args.format not in (None, *FORMATS):
+        raise DomainError(f"config format must be one of {', '.join(FORMATS)}, got {args.format!r}")
 
 
 def parse_alpha_list(text: str):
@@ -327,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--seed", type=int, help="RNG seed")
         cmd.add_argument("--cutoff", type=int, help="explicit truncation index")
         cmd.add_argument("--tol", type=float, help="tolerance override")
-        cmd.add_argument("--format", choices=("md", "csv"), default=None,
+        cmd.add_argument("--format", choices=FORMATS, default=None,
                          help="output format (default md)")
         cmd.add_argument("--out", type=str, help="write the report here")
         cmd.add_argument("--config", type=str, help="key=value defaults file")
@@ -352,8 +356,6 @@ def main(argv=None) -> int:
         if args.config:
             apply_config(args, load_config(args.config))
         if args.format is None:
-            args.format = "md"
-        if args.format == "markdown":
             args.format = "md"
         return _DISPATCH[args.command](args)
     except AccuracyError as exc:

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import AccuracyError, DomainError, UnsupportedClassError
 from .geometry import SymplecticClass
 from .specfun import binomial
+from .toeplitz import MAX_MATRIX_ORDER
 
 __all__ = [
     "BlockHessianSpec",
@@ -55,12 +56,17 @@ class BlockHessianSpec:
 
 
 def build_block_matrix(spec: BlockHessianSpec) -> np.ndarray:
-    """Dense (m-1)d x (m-1)d matrix with the tridiagonal block pattern."""
+    """Dense (m-1)d x (m-1)d matrix with the tridiagonal block pattern.
+
+    Raises DomainError, before allocating, above order MAX_MATRIX_ORDER.
+    """
     m, d, w = spec.m, spec.d, spec.W
+    size = (m - 1) * d
+    if size > MAX_MATRIX_ORDER:
+        raise DomainError(f"block matrix order {size} is above the cap of {MAX_MATRIX_ORDER}")
     eye = np.eye(d)
     upper = -eye - 1j * w
     lower = -eye + 1j * w
-    size = (m - 1) * d
     out = np.zeros((size, size), dtype=complex)
     for q in range(m - 1):
         out[q * d:(q + 1) * d, q * d:(q + 1) * d] = 2.0 * eye
@@ -78,6 +84,14 @@ def det_direct(matrix) -> complex:
     return complex(np.linalg.det(a))
 
 
+def _odd_binomials(m: int) -> list:
+    """C(m, 1), C(m, 3), ... as floats; DomainError past float range (m >= 1030)."""
+    try:
+        return [float(binomial(m, k)) for k in range(1, m + 1, 2)]
+    except OverflowError:
+        raise DomainError(f"binomial coefficients C({m}, k) exceed the float range") from None
+
+
 def ring_determinant_polynomial(m: int, W: np.ndarray) -> np.ndarray:
     """The d x d matrix sum_l C(m, 2l+1) (-1)^l W^(2l), l = 0..floor((m-1)/2).
 
@@ -88,11 +102,12 @@ def ring_determinant_polynomial(m: int, W: np.ndarray) -> np.ndarray:
     w = np.asarray(W, dtype=float)
     d = w.shape[0]
     w2 = w @ w
-    acc = float(binomial(m, 1)) * np.eye(d)
+    first, *rest = _odd_binomials(m)
+    acc = first * np.eye(d)
     power = np.eye(d)
-    for ell in range(1, (m - 1) // 2 + 1):
+    for ell, coeff in enumerate(rest, start=1):
         power = power @ w2
-        acc += float(binomial(m, 2 * ell + 1)) * (-1.0) ** ell * power
+        acc += coeff * (-1.0) ** ell * power
     return acc
 
 
@@ -110,8 +125,8 @@ def scalar_block_factor(m: int, lam: float) -> float:
     acc = 0.0
     lam2 = lam * lam
     power = 1.0
-    for ell in range(0, (m - 1) // 2 + 1):
-        acc += float(binomial(m, 2 * ell + 1)) * power
+    for coeff in _odd_binomials(m):
+        acc += coeff * power
         power *= lam2
     return acc
 

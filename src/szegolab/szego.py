@@ -41,7 +41,6 @@ __all__ = [
     "count_prediction",
     "eigen_count",
     "schatten_limit",
-    "boundedness_scan_small_p",
     "eigenvalue_density",
     "ScanRow",
     "convergence_scan",
@@ -319,8 +318,9 @@ def count_prediction(r: float, t1: float, t2: float,
 def eigen_count(spectrum: SpectrumTruncation, t1: float, t2: float) -> int:
     """Number of eigenvalues in the closed interval [t1, t2].
 
-    Comparisons are exact on the computed values.  When t2 reaches the
-    operator-norm bound sup a/(1-|xi|^2)^2, the finitely many eigenvalues
+    Comparisons are exact on the computed values, in whatever order the
+    spectrum holds them.  When t2 reaches the operator-norm bound
+    sup a/(1-|xi|^2)^2, the finitely many eigenvalues
     that overshoot the bound at finite alpha (the peak approaches it from
     above, by an O(1/alpha) excess) are counted as inside: the bound is the
     asymptotic essential sup of the spectrum, and the reference tables were
@@ -358,24 +358,6 @@ def schatten_limit(model: CircleSymbolModel, p: float) -> float:
             raise AccuracyError("Schatten symbol quadrature failed to settle")
         integral = vals[1]
     return (integral / math.sqrt(2.0 * p)) ** (1.0 / p)
-
-
-def boundedness_scan_small_p(model: CircleSymbolModel, p: float,
-                             alpha_grid: Sequence[float]) -> list:
-    """sqrt(pi/alpha) sum lambda^p across the alpha grid, for 0 < p < 1.
-
-    The sequence stays bounded and settles at the Schatten-type constant;
-    the scan provides the numerical evidence.
-    """
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"small-power scan requires p in (0, 1), got {p}")
-    out = []
-    for alpha in alpha_grid:
-        spectrum = explicit_eigenvalues(replace(model, alpha=float(alpha)))
-        with np.errstate(under="ignore"):
-            out.append(float(math.sqrt(math.pi / alpha)
-                             * np.sum(spectrum.eigenvalues ** p)))
-    return out
 
 
 def eigenvalue_density(model: CircleSymbolModel, s: float) -> float:

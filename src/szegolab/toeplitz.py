@@ -10,8 +10,6 @@ which serve as independent oracles for the spectral formulas.
 
 from __future__ import annotations
 
-import cmath
-import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -44,10 +42,10 @@ _SYMBOL_GRID = 4096
 
 # Size caps, checked before anything of that size is allocated; a request
 # beyond one raises DomainError (CLI exit 2).  MAX_SPECTRUM_TERMS bounds
-# ``explicit_eigenvalues``, which holds 16 bytes per term (the values in
-# index order and sorted) and evaluates them _CHUNK at a time (about 2 MB of
-# log-gamma temporaries), so 4e6 terms cost about 66 MB; counts do not need
-# the spectrum and have no cap.  MAX_MATRIX_ORDER bounds ``matrix_elements``:
+# ``explicit_eigenvalues``, which holds 8 bytes per term (one array in index
+# order) and evaluates them _CHUNK at a time (about 2 MB of log-gamma
+# temporaries), so 4e6 terms cost about 34 MB; counts do not need the
+# spectrum and have no cap.  MAX_MATRIX_ORDER bounds ``matrix_elements``:
 # a dense complex matrix of order 4096 takes 16 * 4096^2 B = 256 MiB before
 # the eigensolve's workspace.
 MAX_SPECTRUM_TERMS = 4_000_000
@@ -94,12 +92,6 @@ class CircleSymbolModel:
         sup = 1.0 if self.fourier is None else float(vals.max())
         object.__setattr__(self, "norm_bound", sup / (1.0 - self.r ** 2) ** 2)
 
-    @functools.cached_property
-    def _log_gamma_a1(self) -> float:
-        # log Gamma(alpha + 1), shared by every log-eigenvalue evaluation of
-        # this model.
-        return log_gamma(self.alpha + 1.0)
-
     @property
     def is_constant_one(self) -> bool:
         return self.fourier is None
@@ -129,9 +121,10 @@ class CircleSymbolModel:
 class SpectrumTruncation:
     """Finite truncation of a nonnegative spectrum.
 
-    ``eigenvalues`` is sorted descending; ``by_index`` keeps the same values
-    in basis order (index m) for argmax queries.  ``tail_estimate`` bounds
-    the sum of all omitted eigenvalues from above via a geometric tail.
+    ``eigenvalues`` has no guaranteed order; ``by_index`` holds the values in
+    basis order (index m) for argmax queries, and ``explicit_eigenvalues``
+    passes one array as both.  ``tail_estimate`` bounds the sum of all
+    omitted eigenvalues from above via a geometric tail.
     """
 
     eigenvalues: np.ndarray
@@ -162,21 +155,26 @@ def largest_eigenvalue_index(r: float, alpha: float) -> int:
     return int(math.floor((alpha + 1.0) * r * r / (1.0 - r * r) + 1e-9))
 
 
-def _log_eigenvalues(model: CircleSymbolModel, m) -> np.ndarray:
-    """Log of the normalized eigenvalues at the basis indices ``m``.
+def _log_diagonal(model: CircleSymbolModel, m, log_scale: float) -> np.ndarray:
+    """log_scale + log(d_m / (2 pi)) at the basis indices ``m``, alpha > -1.
 
-    sqrt(2 pi / alpha) (1-r^2)^(alpha-1) Gamma(alpha+m+2) / (Gamma(alpha+1) m!)
-    * r^(2m+1).  Both index-dependent log-gammas go through one ``log_gamma``
-    call, and an entry does not depend on which other indices share the call,
-    so a probe of a few indices matches the full spectrum bit for bit.
+    d_m = 2 pi (1-r^2)^(alpha-1) Gamma(alpha+m+2) / (Gamma(alpha+1) m!) r^(2m+1)
+    is the constant-symbol diagonal.  One ``log_gamma`` call serves all terms,
+    and an entry does not depend on which other indices share it, so probes
+    match the full spectrum bit for bit.  The terms cancel from about 1e6 at
+    alpha = 1e5, so ``log_scale`` is added first and the rounding follows it.
     """
     r, a = model.r, model.alpha
     m = np.asarray(m, dtype=float)
-    lg = log_gamma(np.concatenate((a + m + 2.0, m + 1.0)))
-    return (0.5 * math.log(2.0 * math.pi / a)
-            + (a - 1.0) * math.log(1.0 - r * r)
-            + lg[:m.size] - model._log_gamma_a1 - lg[m.size:]
+    lg = log_gamma(np.concatenate((a + m + 2.0, m + 1.0, [a + 1.0])))
+    return (log_scale + (a - 1.0) * math.log(1.0 - r * r)
+            + lg[:m.size] - lg[-1] - lg[m.size:-1]
             + (2.0 * m + 1.0) * math.log(r))
+
+
+def _log_eigenvalues(model: CircleSymbolModel, m) -> np.ndarray:
+    """Log of the normalized eigenvalues d_m / sqrt(2 pi alpha), alpha > 0."""
+    return _log_diagonal(model, m, 0.5 * math.log(2.0 * math.pi / model.alpha))
 
 
 def _eigenvalues_at(model: CircleSymbolModel, m) -> np.ndarray:
@@ -221,10 +219,11 @@ def explicit_eigenvalues(model: CircleSymbolModel,
                          cutoff: Optional[int] = None) -> SpectrumTruncation:
     """Closed-form eigenvalues of the normalized operator, constant symbol.
 
-    Evaluated entirely in log space; the result is the descending spectrum
-    of the operator scaled by 1/sqrt(2 pi alpha), truncated at ``cutoff``
-    (default: the geometric-decay rule).  Raises DomainError, before
-    allocating, when the spectrum would exceed MAX_SPECTRUM_TERMS terms.
+    Evaluated in log space and exponentiated last; the result is the
+    spectrum of the operator scaled by 1/sqrt(2 pi alpha), in index order,
+    truncated at ``cutoff`` (default: the geometric-decay rule).  Raises
+    DomainError, before allocating, when the spectrum would exceed
+    MAX_SPECTRUM_TERMS terms.
     """
     cut = _checked_cutoff(model, cutoff)
     if cut + 1 > MAX_SPECTRUM_TERMS:
@@ -238,7 +237,7 @@ def explicit_eigenvalues(model: CircleSymbolModel,
     ratio_next = (model.alpha + 1.0) * model.r ** 2 / (cut + 1.0) + model.r ** 2
     tail = lam[-1] * ratio_next / (1.0 - ratio_next) if ratio_next < 1.0 else math.inf
     return SpectrumTruncation(
-        eigenvalues=np.sort(lam)[::-1],
+        eigenvalues=lam,
         by_index=lam,
         cutoff_index=cut,
         tail_estimate=float(tail),
@@ -345,8 +344,9 @@ def matrix_elements(model: CircleSymbolModel,
     Entry (j, k) equals c_alpha (1-r^2)^alpha (2 pi r/(1-r^2)) delta_j
     delta_k r^{j+k} a_hat[j-k]; the conjugate symmetry of the coefficients
     makes the matrix Hermitian.  A constant symbol gives the diagonal of
-    closed-form eigenvalues times sqrt(2 pi alpha).  Raises DomainError,
-    before allocating, above order MAX_MATRIX_ORDER.
+    closed-form eigenvalues times sqrt(2 pi alpha), for every alpha > -1
+    when ``cutoff`` is given.  Raises DomainError, before allocating, above
+    order MAX_MATRIX_ORDER.
     """
     cut = default_cutoff(model) if cutoff is None else int(cutoff)
     if cut < 0:
@@ -355,14 +355,11 @@ def matrix_elements(model: CircleSymbolModel,
         raise DomainError(
             f"dense matrix would have order {cut + 1}, above the cap of "
             f"{MAX_MATRIX_ORDER} (r={model.r:g}, alpha={model.alpha:g})")
-    r, a = model.r, model.alpha
-    m = np.arange(cut + 1, dtype=float)
-    log_delta = 0.5 * (log_gamma(m + a + 2.0) - log_gamma(m + 1.0)
-                       - log_gamma(a + 2.0))
-    log_pref = (math.log(normalizing_constant(1, a))
-                + a * math.log(1.0 - r * r)
-                + math.log(2.0 * math.pi * r / (1.0 - r * r)))
-    log_row = log_pref / 2.0 + log_delta + m * math.log(r)
+    # Entry (j, k) is sqrt(d_j d_k) a_hat[j-k]; rows take the eigenvalues'
+    # scale, so the diagonal is exp(_log_eigenvalues) sqrt(2 pi alpha).
+    log_scale = 0.5 * math.log(2.0 * math.pi / model.alpha) if model.alpha > 0.0 else 0.0
+    log_row = 0.5 * _log_diagonal(model, np.arange(cut + 1), log_scale)
+    unscale = 2.0 * math.pi * math.exp(-log_scale)
     bandwidth = 0 if model.fourier is None else len(model.fourier) - 1
     out = np.zeros((cut + 1, cut + 1), dtype=complex)
     with np.errstate(under="ignore"):
@@ -372,7 +369,7 @@ def matrix_elements(model: CircleSymbolModel,
                 continue
             j = np.arange(max(0, off), cut + 1 + min(0, off))
             k = j - off
-            out[j, k] = np.exp(log_row[j] + log_row[k]) * coeff
+            out[j, k] = np.exp(log_row[j] + log_row[k]) * (unscale * coeff)
     if model.is_constant_one:
         return out.real
     return out
@@ -388,18 +385,9 @@ def phase_value(points) -> complex:
     pts = [_coords(p) for p in points]
     if len(pts) < 2:
         raise DomainError("phase needs at least two points")
-    dim = len(pts[0])
-    if any(len(p) != dim for p in pts):
+    if any(len(p) != len(pts[0]) for p in pts):
         raise DomainError("all points must share one dimension")
-    total = 0.0 + 0.0j
-    for j, pj in enumerate(pts):
-        pn = pts[(j + 1) % len(pts)]
-        inner = sum(a * b.conjugate() for a, b in zip(pj, pn))
-        # |xi|^2 through the same product expression as the inner product,
-        # so the all-equal tuple gives exactly log(1) = 0.
-        nsq = sum((a * a.conjugate()).real for a in pj)
-        total += cmath.log((1.0 - inner) / (1.0 - nsq))
-    return 1j * total
+    return complex(_phase_batch([pts])[0])
 
 
 def phase_imag_batch(tuples: np.ndarray) -> np.ndarray:
@@ -408,13 +396,21 @@ def phase_imag_batch(tuples: np.ndarray) -> np.ndarray:
     ``tuples`` has shape (batch, m, n): m cyclically-linked points of the
     n-ball per row.  Used by the large property suites.
     """
+    return _phase_batch(tuples).imag
+
+
+def _phase_batch(tuples) -> np.ndarray:
+    # <xi_j, xi_j+1> and |xi_j|^2 from real and imaginary parts: numpy's
+    # complex z * conj(z) can carry an imaginary part of order 1e-18, while
+    # these sums make the all-equal tuple give exactly log(1) = 0.
     z = np.asarray(tuples, dtype=complex)
     if z.ndim != 3:
         raise DomainError("expected an array of shape (batch, m, n)")
-    z_next = np.roll(z, -1, axis=1)
-    inner = np.sum(z * z_next.conj(), axis=2)
-    nsq = np.sum((z * z.conj()).real, axis=2)
-    return np.sum(np.log(np.abs((1.0 - inner) / (1.0 - nsq))), axis=1)
+    zr, zi = z.real, z.imag
+    wr, wi = np.roll(zr, -1, axis=1), np.roll(zi, -1, axis=1)
+    nsq = np.sum(zr * zr + zi * zi, axis=2)
+    inner = np.sum(zr * wr + zi * wi, axis=2) + 1j * np.sum(zi * wr - zr * wi, axis=2)
+    return 1j * np.sum(np.log((1.0 - inner) / (1.0 - nsq)), axis=1)
 
 
 def label_product(d_values) -> float:
@@ -427,7 +423,7 @@ def label_product(d_values) -> float:
         raise DomainError("label product needs at least two values")
     if np.any(d <= 0.0) or np.any(d >= 1.0):
         raise DomainError("labels must lie strictly inside (0, 1)")
-    return float(np.prod((1.0 - d * np.roll(d, -1)) / (1.0 - d * d)))
+    return float(label_product_batch(d.reshape(1, -1))[0])
 
 
 def label_product_batch(rows: np.ndarray) -> np.ndarray:

@@ -214,6 +214,17 @@ class TestConfig:
         assert run(["scan", "--config", str(cfg)]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_config_format_is_a_flag_choice(self, tmp_path, capsys):
+        cfg = tmp_path / "fmt.cfg"
+        for bad in ("xml", "markdown"):
+            cfg.write_text(f"format = {bad}\n")
+            assert run(["hessdet", "--config", str(cfg)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "format" in captured.err
+        cfg.write_text("format = csv\n")
+        assert run(["hessdet", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out.startswith("method,value_re,value_im\n")
+
 
 class TestExitContract:
     def test_internal_value_error_is_not_a_validation_error(self, monkeypatch):
@@ -230,6 +241,16 @@ class TestExitContract:
     def test_invalid_block_dimension_exit_2(self, capsys):
         assert run(["hessdet", "--d", "0"]) == 2
         assert run(["hessdet", "--d", "-1"]) == 2
+
+    def test_hessdet_binomials_past_float_range_exit_2(self, capsys):
+        # C(1100, 549) is about 1e329; float() of it raised OverflowError.
+        assert run(["hessdet", "--d", "1", "--m", "1100"]) == 2
+        assert "float range" in capsys.readouterr().err
+
+    def test_hessdet_block_order_cap_exit_2(self, capsys):
+        # (m-1) d = 39,800: about 25 GB of complex matrix, refused first.
+        assert run(["hessdet", "--d", "200", "--m", "200"]) == 2
+        assert "cap" in capsys.readouterr().err
 
 
 class TestParser:

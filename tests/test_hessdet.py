@@ -66,6 +66,12 @@ class TestBuildBlockMatrix:
         with pytest.raises(DomainError):
             BlockHessianSpec(m=1, W=np.eye(2))
 
+    def test_order_cap(self):
+        # Order (m - 1) d above 4096 is refused before the matrix exists.
+        for m, d in ((4098, 1), (2049, 3)):
+            with pytest.raises(DomainError, match="cap"):
+                build_block_matrix(BlockHessianSpec(m=m, W=np.zeros((d, d))))
+
 
 class TestDetDirect:
     def test_identity(self):
@@ -104,6 +110,16 @@ class TestRingPolynomial:
         assert np.allclose(eigs.imag, 0.0, atol=1e-10)
         assert scalar_block_factor(3, lam) == pytest.approx(3 + lam ** 2)
         assert scalar_block_factor(5, 0.0) == 5.0
+
+    def test_binomials_past_float_range(self):
+        # C(1029, 514) ~ 1.4e308 is the last m whose odd binomials are floats.
+        w = np.array([[0.0, 1e-3], [-1e-3, 0.0]])
+        assert np.all(np.isfinite(ring_determinant_polynomial(1029, w)))
+        assert scalar_block_factor(1029, 0.0) == 1029.0
+        with pytest.raises(DomainError, match="float range"):
+            ring_determinant_polynomial(1030, w)
+        with pytest.raises(DomainError, match="float range"):
+            scalar_block_factor(1030, 0.0)
 
     def test_matches_direct_determinant(self):
         rng = np.random.default_rng(43)

@@ -9,7 +9,6 @@ from szegolab import (
     PhiFunction,
     QTransformSpec,
     WeightedModel,
-    boundedness_scan_small_p,
     convergence_scan,
     count_prediction,
     eigen_count,
@@ -255,7 +254,7 @@ class TestEigenCount:
         # With the upper endpoint at the norm bound, the finite-alpha
         # overshoot eigenvalues count as inside.
         spec = explicit_eigenvalues(CircleSymbolModel(r=0.5, alpha=100.0))
-        assert spec.eigenvalues[0] > 16 / 9  # the overshoot exists
+        assert spec.eigenvalues.max() > 16 / 9  # the overshoot exists
         assert eigen_count(spec, 16 / 15, 16 / 9) == int(
             np.sum(spec.eigenvalues >= 16 / 15))
 
@@ -304,20 +303,20 @@ class TestSchatten:
 
 
 class TestBoundednessScan:
+    # sqrt(pi/alpha) sum lambda^p for small p: the lhs column of a power scan.
+    @staticmethod
+    def _scan(p, grid):
+        return [row.lhs_scaled for row in convergence_scan(R_HALF, grid, phi=power_phi(p))]
+
     def test_small_power_bounded_and_settled(self):
-        grid = (1e2, 1e3, 1e4, 1e5)
-        vals = boundedness_scan_small_p(R_HALF, 0.5, grid)
+        vals = self._scan(0.5, (1e2, 1e3, 1e4, 1e5))
         closed = (2.0 * math.pi * 0.5 / 0.75) * (16.0 / 9.0) ** 0.5 / math.sqrt(2 * 0.5)
         assert max(vals) <= 1.1 * vals[-1]
         assert abs(vals[-1] / closed - 1.0) < 0.02
 
     def test_p09_same_shape(self):
-        vals = boundedness_scan_small_p(R_HALF, 0.9, (1e2, 1e3, 1e4))
+        vals = self._scan(0.9, (1e2, 1e3, 1e4))
         assert max(vals) <= 1.1 * vals[-1]
-
-    def test_requires_small_p(self):
-        with pytest.raises(DomainError):
-            boundedness_scan_small_p(R_HALF, 1.0, (1e2,))
 
 
 class TestConvergenceScan:
@@ -369,4 +368,4 @@ class TestNormAsymptote:
 
     def test_peak_value_converges(self):
         spec = explicit_eigenvalues(CircleSymbolModel(r=1 / math.sqrt(2), alpha=1e5))
-        assert abs(spec.eigenvalues[0] / 4.0 - 1.0) < 0.01
+        assert abs(spec.eigenvalues.max() / 4.0 - 1.0) < 0.01

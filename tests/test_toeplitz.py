@@ -1,3 +1,4 @@
+import cmath
 import math
 import tracemalloc
 
@@ -18,9 +19,11 @@ from szegolab import (
     hermitian_eigenvalues,
     label_product,
     largest_eigenvalue_index,
+    log_gamma,
     matrix_elements,
     phase_value,
 )
+from szegolab import toeplitz
 from szegolab.toeplitz import (
     MAX_MATRIX_ORDER,
     MAX_SPECTRUM_TERMS,
@@ -89,9 +92,8 @@ class TestExplicitEigenvalues:
         # float rounding of r^2 must not push the floor down by one.
         assert largest_eigenvalue_index(1 / math.sqrt(2), 1e5) == 100001
 
-    def test_sorted_and_positive(self):
+    def test_positive_and_normalized(self):
         spec = explicit_eigenvalues(CircleSymbolModel(r=0.5, alpha=50.0))
-        assert np.all(np.diff(spec.eigenvalues) <= 0)
         assert np.all(spec.eigenvalues >= 0)
         assert spec.normalized
 
@@ -114,9 +116,11 @@ class TestExplicitEigenvalues:
         model = CircleSymbolModel(r=0.5, alpha=200.0)
         base = explicit_eigenvalues(model)
         double = explicit_eigenvalues(model, cutoff=2 * base.cutoff_index)
-        window = base.eigenvalues >= base.eigenvalues[0] * 1e-9
-        top_base = base.eigenvalues[window]
-        top_double = double.eigenvalues[: top_base.size]
+        lam_base = np.sort(base.eigenvalues)[::-1]
+        lam_double = np.sort(double.eigenvalues)[::-1]
+        window = lam_base >= lam_base[0] * 1e-9
+        top_base = lam_base[window]
+        top_double = lam_double[: top_base.size]
         assert np.max(np.abs(top_base / top_double - 1.0)) < 1e-10
 
     def test_high_precision_frozen_values(self):
@@ -133,7 +137,7 @@ class TestExplicitEigenvalues:
         for r in (0.3, 0.5, 1 / math.sqrt(2)):
             for alpha in (1.0, 10.0, 100.0):
                 model = CircleSymbolModel(r=r, alpha=alpha)
-                lam_max = explicit_eigenvalues(model).eigenvalues[0]
+                lam_max = explicit_eigenvalues(model).eigenvalues.max()
                 envelope = model.norm_bound * math.sqrt((alpha + 1.0) / alpha)
                 assert lam_max <= envelope * (1.0 + 1e-9)
 
@@ -154,14 +158,14 @@ def _full_array_cutoff(model):
 def _threshold(spec, model, kind, u):
     lam = spec.by_index
     if kind == 0:
-        return float(spec.eigenvalues[0])              # the peak value itself
+        return float(spec.eigenvalues.max())           # the peak value itself
     if kind == 1:
         return model.norm_bound
     if kind == 2:
         return float(lam[int(u * (lam.size - 1))])     # exactly an eigenvalue
     if kind == 3:
         return math.nextafter(float(lam[int(u * (lam.size - 1))]), math.inf)
-    return float(spec.eigenvalues[0]) * 10.0 ** (-40.0 * u)
+    return float(spec.eigenvalues.max()) * 10.0 ** (-40.0 * u)
 
 
 class TestExplicitCount:
@@ -279,17 +283,41 @@ class TestMatrixElements:
             matrix_elements(model)
 
     def test_constant_symbol_is_diagonal(self):
-        model = CircleSymbolModel(r=0.5, alpha=7.0)
-        mat = matrix_elements(model, cutoff=40)
-        off = mat - np.diag(np.diagonal(mat))
-        assert np.max(np.abs(off)) == 0.0
-        # diagonal m: 2 pi r (1-r^2)^(alpha-1) (alpha+1) delta_m^2 r^(2m)
-        r, a = model.r, model.alpha
-        for m in (0, 1, 5, 17):
-            d2 = math.exp(math.lgamma(m + a + 2) - math.lgamma(m + 1)
-                          - math.lgamma(a + 2))
-            want = 2 * math.pi * r * (1 - r * r) ** (a - 1) * (a + 1) * d2 * r ** (2 * m)
-            assert mat[m, m] == pytest.approx(want, rel=1e-12)
+        # alpha <= 0 has no explicit spectrum, but the matrix exists.
+        for alpha in (7.0, -0.5, 0.0):
+            model = CircleSymbolModel(r=0.5, alpha=alpha)
+            mat = matrix_elements(model, cutoff=40)
+            off = mat - np.diag(np.diagonal(mat))
+            assert np.max(np.abs(off)) == 0.0
+            # diagonal m: 2 pi r (1-r^2)^(alpha-1) (alpha+1) delta_m^2 r^(2m)
+            r, a = model.r, model.alpha
+            for m in (0, 1, 5, 17):
+                d2 = math.exp(math.lgamma(m + a + 2) - math.lgamma(m + 1)
+                              - math.lgamma(a + 2))
+                want = 2 * math.pi * r * (1 - r * r) ** (a - 1) * (a + 1) * d2 * r ** (2 * m)
+                assert mat[m, m] == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("r, alpha", [(0.5, 7.0), (0.3, 100.0), (0.7, 1e3)])
+    def test_diagonal_is_explicit_spectrum(self, r, alpha):
+        # Both come from one log-gamma expression, so they agree to rounding,
+        # in index order.
+        model = CircleSymbolModel(r=r, alpha=alpha)
+        diag = np.diagonal(matrix_elements(model, cutoff=200))
+        want = np.exp(_log_eigenvalues(model, np.arange(201))) * math.sqrt(2 * math.pi * alpha)
+        assert np.max(np.abs(diag / want - 1.0)) <= 1e-14
+
+    def test_one_log_gamma_call(self, monkeypatch):
+        calls = []
+
+        def counted(x):
+            calls.append(np.size(x))
+            return log_gamma(x)
+
+        monkeypatch.setattr(toeplitz, "log_gamma", counted)
+        for fourier in (None, (1.0, 0.2 + 0.1j)):
+            calls.clear()
+            matrix_elements(CircleSymbolModel(r=0.5, alpha=30.0, fourier=fourier), cutoff=60)
+            assert calls == [2 * 61 + 1]
 
     @pytest.mark.parametrize("r", [0.3, 0.5, 1 / math.sqrt(2)])
     @pytest.mark.parametrize("alpha", [1.0, 10.0, 100.0])
@@ -298,7 +326,7 @@ class TestMatrixElements:
         cut = default_cutoff(model)
         mat = matrix_elements(model, cutoff=cut)
         spec_matrix = hermitian_eigenvalues(mat)
-        spec_explicit = explicit_eigenvalues(model, cutoff=cut).eigenvalues \
+        spec_explicit = np.sort(explicit_eigenvalues(model, cutoff=cut).eigenvalues)[::-1] \
             * math.sqrt(2 * math.pi * alpha)
         # compare entrywise above the subnormal floor
         mask = spec_explicit > spec_explicit[0] * 1e-200
@@ -428,9 +456,24 @@ class TestPhase:
             positive = vals[spread > 1e-3]
             assert np.all(positive > 0)
 
+    def test_matches_scalar_log_sum(self):
+        # The cyclic sum written out with cmath, point by point.
+        rng = np.random.default_rng(54)
+        for _ in range(300):
+            z = rng.uniform(-0.5, 0.5, size=(4, 2)) + 1j * rng.uniform(-0.5, 0.5, size=(4, 2))
+            want = 0j
+            for j in range(4):
+                inner = sum(a * b.conjugate() for a, b in zip(z[j], z[(j + 1) % 4]))
+                nsq = sum(abs(a) ** 2 for a in z[j])
+                want += cmath.log((1.0 - inner) / (1.0 - nsq))
+            want *= 1j
+            assert abs(phase_value(z) - want) <= 1e-14 * max(abs(want), 1.0)
+
     def test_input_validation(self):
         with pytest.raises(DomainError):
             phase_value([BallPoint.of(0.1)])
+        with pytest.raises(DomainError):
+            phase_value([BallPoint.of(0.1), BallPoint.of(0.1, 0.2)])
 
 
 class TestLabelProduct:

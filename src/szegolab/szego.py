@@ -18,7 +18,7 @@ import numpy as np
 from .errors import AccuracyError, DomainError
 from .quadrature import BLOCK_ELEMENTS, adaptive_integral, graded_edges
 from .specfun import WeightedModel
-from .geometry import ChartedSubmanifold
+from .geometry import ChartedSubmanifold, _evaluate, _pullback_batch
 from .toeplitz import (
     CircleSymbolModel,
     SpectrumTruncation,
@@ -240,7 +240,7 @@ def szego_rhs(model: CircleSymbolModel, phi: PhiFunction,
 
 
 def szego_rhs_chart(wmodel: WeightedModel, chart: ChartedSubmanifold,
-                    symbol: Callable[[np.ndarray], float], phi: PhiFunction,
+                    symbol: Callable[[np.ndarray], np.ndarray], phi: PhiFunction,
                     dprime: float, rel_tol: float = 1e-6) -> float:
     """Limit integral over a one-dimensional chart (curves only).
 
@@ -248,6 +248,14 @@ def szego_rhs_chart(wmodel: WeightedModel, chart: ChartedSubmanifold,
     sqrt(G(t)) dt over the chart domain (0, 1).  Higher-dimensional charts
     are out of scope: the worked example with an independent oracle is a
     curve.
+
+    The chart, its Jacobian and ``symbol`` are called once per block of
+    quadrature nodes, with parameters of shape (d, N) = (1, N) (see
+    ``ChartedSubmanifold``), so they must accept node arrays; ``symbol``
+    returns N values or something that broadcasts to them.  The symbol must
+    be finite and nonnegative: a NaN, or a value below -1e-12 of the
+    block's largest value (or of 1), raises DomainError naming its t, and
+    the tiny negatives above that count as zero.
     """
     if chart.d != 1:
         raise DomainError("general right-hand sides support d = 1 charts only")
@@ -255,17 +263,22 @@ def szego_rhs_chart(wmodel: WeightedModel, chart: ChartedSubmanifold,
     expo = wmodel.n + 1.0
 
     def integrand(ts):
-        values = np.empty_like(ts)
-        densities = np.empty_like(ts)
-        for i, t in enumerate(ts):
-            point = chart.point([t])
-            nsq = float(np.sum(np.abs(point) ** 2))
-            values[i] = float(symbol(np.array([t]))) * (1.0 - nsq) ** -expo
-            densities[i] = chart.volume_density(wmodel, [t])
         out = np.zeros_like(ts)
+        if not ts.size:  # the quadrature's empty probe: no chart or symbol call
+            return out
+        nodes = ts[None, :]
+        geo = _pullback_batch(wmodel, chart.point(nodes), chart.jacobian_at(nodes), nodes)
+        a = _evaluate(symbol, nodes, ts.shape, "symbol", dtype=float)
+        finite = np.isfinite(a)
+        bad = ~finite | (a < -1e-12 * np.max(a, where=finite, initial=1.0))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise DomainError(f"symbol must be finite and nonnegative, got {float(a[i])!r} "
+                              f"at t={float(ts[i])!r}")
+        values = a * geo.s ** -expo
         positive = values > 0.0
-        if positive.any():  # no call without a positive value, as in the empty probe
-            out[positive] = q_transform(spec, values[positive]) * densities[positive]
+        if positive.any():
+            out[positive] = q_transform(spec, values[positive]) * geo.density[positive]
         return out
 
     edges = np.linspace(0.0, 1.0, 9)

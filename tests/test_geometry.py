@@ -12,8 +12,8 @@ from szegolab import (
     pullback_forms,
     skew_half_spectrum,
 )
-from szegolab.geometry import ChartedSubmanifold
-from szegolab.errors import DomainError, RankError
+from szegolab.geometry import ChartedSubmanifold, _pullback_batch
+from szegolab.errors import ContractViolation, DomainError, RankError
 
 DISC = WeightedModel(n=1, alpha=0.0)
 BALL2 = WeightedModel(n=2, alpha=0.0)
@@ -240,3 +240,124 @@ class TestClassify:
                 t = rng.uniform(0.15, 0.85, size=chart.d)
                 pair = pullback_forms(model, chart, t)
                 assert np.all(np.linalg.eigvalsh(pair.G) > 1e-10)
+
+
+def _radial(theta0=0.7, r0=0.1, r1=0.8):
+    # Written like the benchmark's curves: coordinate-first node arrays.
+    e = complex(np.exp(1j * theta0))
+    return ChartedSubmanifold(
+        "radial", n=1, d=1, chart=lambda t: np.array([e * (r0 + (r1 - r0) * t[0])]),
+        jacobian=lambda t: np.array([[e * (r1 - r0)]]))
+
+
+def _arc(rho=0.6, th0=1.1, dth=4.0):
+    return ChartedSubmanifold(
+        "arc", n=1, d=1, chart=lambda t: np.array([rho * np.exp(1j * (th0 + dth * t[0]))]),
+        jacobian=lambda t: np.array([[1j * dth * rho * np.exp(1j * (th0 + dth * t[0]))]]))
+
+
+BATCH_CASES = [(make_chart("circle", 0.5), DISC), (make_chart("open-ball"), DISC),
+               (make_chart("sphere3", 0.4), BALL2), (make_chart("generic2d"), BALL2),
+               (_radial(), DISC), (_arc(), DISC)]
+
+
+class TestBatchPullback:
+    @pytest.mark.parametrize("chart, model", BATCH_CASES, ids=lambda c: getattr(c, "name", ""))
+    def test_batch_equals_one_point(self, chart, model):
+        # The (d, N) path against the one-point functions at every node.
+        ts = np.random.default_rng(41).uniform(0.05, 0.95, size=(chart.d, 40))
+        batch = _pullback_batch(model, chart.point(ts), chart.jacobian_at(ts), ts)
+        for i in range(ts.shape[1]):
+            pair = pullback_forms(model, chart, ts[:, i])
+            scale = np.max(np.abs(pair.G))
+            assert np.max(np.abs(batch.G[i] - pair.G)) <= 1e-14 * scale
+            assert np.max(np.abs(batch.H[i] - pair.H)) <= 1e-14 * scale
+            assert batch.density[i] == pytest.approx(
+                chart.volume_density(model, ts[:, i]), rel=1e-14, abs=0.0)
+            assert batch.s[i] == pytest.approx(
+                1.0 - np.sum(np.abs(chart.point(ts[:, i])) ** 2), rel=1e-14, abs=0.0)
+
+    def test_density_is_sqrt_det(self):
+        ts = np.random.default_rng(42).uniform(0.1, 0.9, size=(3, 12))
+        chart = make_chart("sphere3", 0.6)
+        batch = _pullback_batch(BALL2, chart.point(ts), chart.jacobian_at(ts), ts)
+        assert np.allclose(batch.density, np.sqrt(np.linalg.det(batch.G)), rtol=1e-13, atol=0.0)
+        assert np.all(batch.density > 0.0)
+
+    def test_outside_ball_names_t(self):
+        # 0.5 + 0.7 t leaves the disc at t = 5/7.
+        chart = _radial(theta0=0.0, r0=0.5, r1=1.2)
+        ts = np.linspace(0.1, 0.9, 9)[None, :]
+        with pytest.raises(DomainError, match=r"t=\[0\.8\]"):
+            _pullback_batch(DISC, chart.point(ts), chart.jacobian_at(ts), ts)
+
+    def test_singular_node_names_t(self):
+        # gamma'(t) = 0 at t = 0.5 only.
+        chart = ChartedSubmanifold("cusp", n=1, d=1, chart=lambda t: 0.4 * (t[0] - 0.5) ** 2 + 0j,
+                                   jacobian=lambda t: np.array([[0.8 * (t[0] - 0.5) + 0j]]))
+        ts = np.array([[0.2, 0.5, 0.7]])
+        with pytest.raises(RankError, match=r"t=\[0\.5\]"):
+            _pullback_batch(DISC, chart.point(ts), chart.jacobian_at(ts), ts)
+
+    def test_unbroadcastable_output_names_callable(self):
+        def three_values(t):
+            return np.zeros(3, dtype=complex)
+
+        chart = ChartedSubmanifold("bad", n=1, d=1, chart=three_values)
+        with pytest.raises(ContractViolation, match="three_values"):
+            chart.point(np.full((1, 5), 0.5))
+
+    def test_one_point_output_read_in_order(self):
+        # A curve in the 2-ball whose one-point Jacobian is a flat (n,) vector.
+        def chart(t):
+            return np.array([0.3 * t[0], 0.2j * t[0]])
+
+        def flat(t):
+            return np.array([0.3, 0.2j])
+
+        got = pullback_forms(BALL2, ChartedSubmanifold("flat", n=2, d=1, chart=chart, jacobian=flat), [0.5])
+        want = pullback_forms(BALL2, ChartedSubmanifold("fd", n=2, d=1, chart=chart), [0.5])
+        assert got.G[0, 0] == pytest.approx(want.G[0, 0], rel=1e-9)
+
+    def test_parameter_shape_checked(self):
+        chart = make_chart("generic2d")
+        with pytest.raises(DomainError):
+            chart.point(np.full((3, 4), 0.5))
+        with pytest.raises(DomainError):
+            pullback_forms(BALL2, chart, np.full((2, 4), 0.5))
+
+
+ANALYTIC = [("sphere3", BALL2), ("open-ball", DISC), ("generic2d", BALL2)]
+
+
+class TestAnalyticJacobians:
+    @pytest.mark.parametrize("name, model", ANALYTIC)
+    def test_matches_finite_differences(self, name, model):
+        chart = make_chart(name, 0.45)
+        assert chart.jacobian is not None
+        fd = ChartedSubmanifold(name + "-fd", n=chart.n, d=chart.d, chart=chart.chart)
+        ts = np.random.default_rng(43).uniform(0.05, 0.95, size=(chart.d, 30))
+        got, want = chart.jacobian_at(ts), fd.jacobian_at(ts)
+        assert got.shape == (chart.n, chart.d, 30)
+        assert np.max(np.abs(got - want)) <= 1e-7 * np.max(np.abs(want))
+        for i in range(ts.shape[1]):
+            assert np.max(np.abs(chart.jacobian_at(ts[:, i]) - got[..., i])) \
+                <= 1e-15 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("name, model", ANALYTIC)
+    def test_matches_real_coordinate_route(self, name, model):
+        # The construction of test_real_coordinate_route_oracle, now at 1e-12.
+        chart = make_chart(name, 0.5)
+        n = model.n
+        for t in np.random.default_rng(44).uniform(0.1, 0.9, size=(4, chart.d)):
+            jac_c = chart.jacobian_at(t)
+            b = ambient_metric(model, chart.point(t))
+            b_real = np.block([[b.real, b.imag], [-b.imag, b.real]])
+            jac_real = np.vstack([jac_c.real, jac_c.imag])
+            j_rot = np.block([[np.zeros((n, n)), -np.eye(n)], [np.eye(n), np.zeros((n, n))]])
+            g_want = jac_real.T @ b_real @ jac_real
+            h_want = jac_real.T @ b_real @ (j_rot @ jac_real)
+            pair = pullback_forms(model, chart, t)
+            scale = np.max(np.abs(g_want))
+            assert np.max(np.abs(pair.G - g_want)) < 1e-12 * scale
+            assert np.max(np.abs(pair.H - h_want)) < 1e-12 * scale

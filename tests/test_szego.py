@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate
 
 from szegolab import (
+    ChartedSubmanifold,
     CircleSymbolModel,
     PhiFunction,
     QTransformSpec,
@@ -25,7 +26,7 @@ from szegolab import (
     szego_rhs_chart,
 )
 from szegolab import szego
-from szegolab.errors import AccuracyError, DomainError
+from szegolab.errors import AccuracyError, ContractViolation, DomainError, RankError
 from szegolab.quadrature import adaptive_integral, panel_integral
 
 R_HALF = CircleSymbolModel(r=0.5, alpha=100.0)
@@ -212,6 +213,101 @@ class TestSzegoRhs:
         model = CircleSymbolModel(r=0.5, alpha=50.0, fourier=(1.0, 0.5))
         with pytest.raises(AccuracyError, match="2048 nodes"):
             szego_rhs(model, power_phi(0.3))
+
+
+class TestChartRoute:
+    """The batched chart route: node-array calls, contracts and symbol checks."""
+
+    DISC = WeightedModel(n=1, alpha=0.0)
+
+    @staticmethod
+    def segment(a, b, jacobian=True):
+        return ChartedSubmanifold(
+            "segment", n=1, d=1, chart=lambda t: np.array([a + b * t[0] + 0j]),
+            jacobian=(lambda t: np.array([[b + 0j]])) if jacobian else None)
+
+    def rhs(self, chart, symbol):
+        return szego_rhs_chart(self.DISC, chart, symbol, power_phi(2.0), dprime=1.0)
+
+    @pytest.mark.parametrize("analytic", [True, False])
+    def test_one_chart_call_per_integrand_call(self, monkeypatch, analytic):
+        # One chart, one Jacobian and one symbol call per block of nodes;
+        # finite differences add 2d chart calls.  The empty shape probe of
+        # the quadrature makes none.
+        calls = {"chart": [], "jacobian": [], "symbol": [], "integrand": []}
+
+        def counted(key, fn):
+            def wrapped(t):
+                calls[key].append(np.shape(t))
+                return fn(t)
+            return wrapped
+
+        base = make_chart("circle", 0.5)
+        chart = ChartedSubmanifold(
+            "circle-counted", n=1, d=1, chart=counted("chart", base.chart),
+            jacobian=counted("jacobian", base.jacobian) if analytic else None)
+
+        def counting_adaptive(f, *args, **kwargs):
+            if kwargs.get("what") != "szego_rhs_chart":  # the transform's own ladder
+                return adaptive_integral(f, *args, **kwargs)
+
+            def g(x):
+                if np.size(x):
+                    calls["integrand"].append(np.size(x))
+                return f(x)
+            return adaptive_integral(g, *args, **kwargs)
+
+        monkeypatch.setattr(szego, "adaptive_integral", counting_adaptive)
+        got = self.rhs(chart, counted("symbol", lambda t: 1.0 + 0.0 * t[0]))
+        assert got == pytest.approx(monomial_rhs_circle(0.5, 2), rel=1e-6)
+        n_calls = len(calls["integrand"])
+        assert 1 <= n_calls <= 6
+        assert [s[1] for s in calls["symbol"]] == calls["integrand"]
+        assert len(calls["chart"]) == (1 if analytic else 3) * n_calls
+        assert len(calls["jacobian"]) == (n_calls if analytic else 0)
+        assert all(s == (1, n) for s, n in zip(calls["symbol"], calls["integrand"]))
+
+    def test_unbroadcastable_chart_raises_contract_violation(self):
+        def two_rows(t):
+            return np.full((2, np.size(t[0])), 0.3 + 0j)
+
+        chart = ChartedSubmanifold("two-rows", n=1, d=1, chart=two_rows)
+        with pytest.raises(ContractViolation, match="two_rows"):
+            self.rhs(chart, lambda t: 1.0)
+
+    def test_unbroadcastable_symbol_raises_contract_violation(self):
+        def pair(t):
+            return np.ones(2)
+
+        with pytest.raises(ContractViolation, match="pair"):
+            self.rhs(self.segment(0.1, 0.5), pair)
+
+    def test_segment_leaving_ball_names_t(self):
+        with pytest.raises(DomainError, match=r"t=\[0\.7[2-9]\d*\]"):
+            self.rhs(self.segment(0.5, 0.7), lambda t: 1.0)
+
+    @pytest.mark.parametrize("analytic", [True, False])
+    def test_constant_chart_raises_rank_error(self, analytic):
+        with pytest.raises(RankError):
+            self.rhs(self.segment(0.3, 0.0, jacobian=analytic), lambda t: 1.0)
+
+    def test_negative_symbol_raises(self):
+        # Once quietly integrated over the nodes where a > 0 (0.658).
+        with pytest.raises(DomainError, match=r"-0\.4\d* at t=0\.0"):
+            self.rhs(make_chart("circle", 0.5), lambda t: t[0] - 0.5)
+
+    def test_nan_symbol_raises(self):
+        # Once quietly 0.0.
+        with pytest.raises(DomainError, match="nan at t="):
+            self.rhs(make_chart("circle", 0.5), lambda t: np.full_like(t[0], np.nan))
+
+    def test_zeros_and_tiny_negatives_allowed(self):
+        # a vanishes on t < 1/2, a panel edge; -1e-14 counts as zero there.
+        chart = make_chart("circle", 0.5)
+        half = self.rhs(chart, lambda t: np.where(t[0] < 0.5, 0.0, 1.0))
+        tiny = self.rhs(chart, lambda t: np.where(t[0] < 0.5, -1e-14, 1.0))
+        assert half == tiny
+        assert half == pytest.approx(0.5 * monomial_rhs_circle(0.5, 2), rel=1e-12)
 
 
 class TestCountPrediction:

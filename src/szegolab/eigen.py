@@ -9,6 +9,9 @@ fourier=(1, 0.3, 0.1) at r = 0.5, alpha = 20, cutoff 50, the index-ordered
 matrix gives a 6e-15 relative error and the reversed basis 1.2e-3.  The
 tridiagonal case fourier=(1, 0.3) gives 3.3e-15 in either order, because
 LAPACK's tridiagonal QL/QR picks its sweep direction from the grading.
+At its default order ``matrix_elements`` drops the rows past the peak whose
+diagonal is below u^2 = 2^-106 of the peak; they move no eigenvalue by more
+than the rounding of the largest one (the bound is in its docstring).
 """
 
 from __future__ import annotations
@@ -23,12 +26,16 @@ __all__ = ["hermitian_eigenvalues"]
 def hermitian_eigenvalues(matrix, hermitian_tol: float = 1e-12) -> np.ndarray:
     """All eigenvalues of a Hermitian (or real symmetric) matrix, descending.
 
-    The input must be square and satisfy max|A - A*| < hermitian_tol *
-    ||A||_F, otherwise ContractViolation is raised.
+    The input must be square, finite and satisfy max|A - A*| <
+    hermitian_tol * ||A||_F, otherwise ContractViolation is raised; a NaN
+    or inf entry is refused before the Hermitian check, which it would turn
+    into NaN eigenvalues or a warning.
     """
     a = np.asarray(matrix)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ContractViolation(f"expected a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ContractViolation("matrix has a NaN or infinite entry")
     scale = float(np.linalg.norm(a))
     if scale == 0.0:
         return np.zeros(a.shape[0])

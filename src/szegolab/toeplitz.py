@@ -51,6 +51,9 @@ _SYMBOL_GRID = 4096
 MAX_SPECTRUM_TERMS = 4_000_000
 MAX_MATRIX_ORDER = 4096
 _CHUNK = 1 << 14
+# The default matrix drops the rows past the peak whose constant-symbol
+# diagonal is below u^2 of the peak, u = 2^-53 the unit roundoff.
+_ROW_FLOOR = 2.0 ** -106
 # Most probes per bracket and level of the windowed count: brackets up to
 # 257^L indices close in L levels (L = 4 at m* ~ 5e7).
 _MAX_PROBES = 256
@@ -288,14 +291,16 @@ def _narrow(bracket: list, idx: np.ndarray, lam: np.ndarray) -> None:
         bracket[1] = int(q[j])
 
 
-def _count_at_least(model: CircleSymbolModel, cut: int, thresholds) -> list:
-    """#{m in [0, cut] : lambda_m >= t} for each t, by bracket refinement.
+def _window_ends(model: CircleSymbolModel, cut: int, thresholds,
+                 relative: bool = False) -> list:
+    """Ends (first, last) of {m in [0, cut] : lambda_m >= t} for each t.
 
-    lambda_{m+1}/lambda_m = r^2 (alpha+m+2)/(m+1) decreases in m, so
-    {m : lambda_m >= t} is one index interval around the peak.  Its ends are
-    found on the rising side [0, peak] and the falling side [peak, cut] of
-    every threshold at once: each level probes all open brackets through one
-    ``log_gamma`` call.
+    An empty set gives (0, -1).  lambda_{m+1}/lambda_m = r^2 (alpha+m+2)/(m+1)
+    decreases in m, so the set is one index interval around the peak.  Its
+    ends are found on the rising side [0, peak] and the falling side
+    [peak, cut] of every threshold at once: each level probes all open
+    brackets through one ``log_gamma`` call.  With ``relative`` each t is a
+    fraction of the peak value.
     """
     m_star = min(largest_eigenvalue_index(model.r, model.alpha), cut)
     near = np.arange(max(m_star - 1, 0), min(m_star + 1, cut) + 1)
@@ -304,6 +309,8 @@ def _count_at_least(model: CircleSymbolModel, cut: int, thresholds) -> list:
     lam = _eigenvalues_at(model, idx)
     at_near = lam[np.searchsorted(idx, near)]
     peak, top = int(near[np.argmax(at_near)]), float(at_near.max())
+    if relative:
+        thresholds = [t * top for t in thresholds]
     pairs = [([-1, peak, t, True], [peak, cut + 1, t, False]) if top >= t else None
              for t in thresholds]
     open_ = [b for pair in pairs if pair for b in pair]
@@ -315,7 +322,7 @@ def _count_at_least(model: CircleSymbolModel, cut: int, thresholds) -> list:
             idx = np.unique(np.concatenate([_bracket_probes(b[0], b[1]) for b in open_]))
             lam = _eigenvalues_at(model, idx)
     # first index >= t on the rising side is its hi; last on the falling side its lo
-    return [pair[1][0] - pair[0][1] + 1 if pair else 0 for pair in pairs]
+    return [(pair[0][1], pair[1][0]) if pair else (0, -1) for pair in pairs]
 
 
 def explicit_count(model: CircleSymbolModel, t1: float, t2: float,
@@ -325,16 +332,29 @@ def explicit_count(model: CircleSymbolModel, t1: float, t2: float,
     Equals ``eigen_count(explicit_eigenvalues(model, cutoff), t1, t2)``: the
     same computed values are compared the same way, and an upper end at the
     norm bound counts every eigenvalue >= t1.  The count is
-    #{lambda >= t1} - #{lambda >= nextafter(t2, inf)}, each term found by
-    bracket refinement at O(log alpha) ``log_gamma`` arguments, so it runs in
-    bounded memory where the spectrum itself would exceed its cap.
+    #{lambda >= t1} - #{lambda >= nextafter(t2, inf)}, each term the length
+    of a window whose ends are found by bracket refinement at O(log alpha)
+    ``log_gamma`` arguments, so it runs in bounded memory where the spectrum
+    itself would exceed its cap.
     """
     cut = _checked_cutoff(model, cutoff)
-    if _at_norm_bound(t2, model.norm_bound):
-        return _count_at_least(model, cut, [t1])[0]
-    at_least_t1, above_t2 = _count_at_least(
-        model, cut, [t1, math.nextafter(t2, math.inf)])
-    return max(at_least_t1 - above_t2, 0)
+    ts = [t1] if _at_norm_bound(t2, model.norm_bound) else [t1, math.nextafter(t2, math.inf)]
+    at_least_t1, *above_t2 = [last - first + 1 for first, last in _window_ends(model, cut, ts)]
+    return max(at_least_t1 - sum(above_t2), 0)
+
+
+def _matrix_cutoff(model: CircleSymbolModel, bandwidth: int) -> int:
+    """Default cutoff of ``matrix_elements``: bandwidth + last index >= u^2 peak.
+
+    The falling-side bracket starts at ``default_cutoff`` and grows while
+    the threshold is not crossed inside it.
+    """
+    cut = default_cutoff(model)
+    while True:
+        last = _window_ends(model, cut, [_ROW_FLOOR], relative=True)[0][1]
+        if last < cut:
+            return last + bandwidth
+        cut = int(cut * 1.25) + 8
 
 
 def matrix_elements(model: CircleSymbolModel,
@@ -345,10 +365,22 @@ def matrix_elements(model: CircleSymbolModel,
     delta_k r^{j+k} a_hat[j-k]; the conjugate symmetry of the coefficients
     makes the matrix Hermitian.  A constant symbol gives the diagonal of
     closed-form eigenvalues times sqrt(2 pi alpha), for every alpha > -1
-    when ``cutoff`` is given.  Raises DomainError, before allocating, above
-    order MAX_MATRIX_ORDER.
+    when ``cutoff`` is given.
+
+    The default cutoff (alpha > 0) is K + last, so the order is K + last + 1:
+    K is the bandwidth and ``last`` the last index past the peak of the
+    constant-symbol diagonal d_m with d_last >= u^2 d_peak, u = 2^-53, found
+    by the windowed bracket refinement of ``explicit_count``.  Entry (j, k)
+    is sqrt(d_j d_k) a_hat[j-k] and a_hat vanishes past K, so the dropped
+    rows couple to the kept block only through its last K rows, all below
+    u^2 d_peak.  By Weyl's inequality each kept eigenvalue is then within
+    about 2 sum_k |a_hat[k]| u^2 d_peak of its counterpart in any longer
+    truncation, and every dropped eigenvalue is at most sup a u^2 d_peak:
+    below the rounding of the peak eigenvalue in both cases.  Raises
+    DomainError, before allocating, above order MAX_MATRIX_ORDER.
     """
-    cut = default_cutoff(model) if cutoff is None else int(cutoff)
+    bandwidth = 0 if model.fourier is None else len(model.fourier) - 1
+    cut = _matrix_cutoff(model, bandwidth) if cutoff is None else int(cutoff)
     if cut < 0:
         raise DomainError(f"cutoff must be nonnegative, got {cutoff}")
     if cut + 1 > MAX_MATRIX_ORDER:
@@ -360,7 +392,6 @@ def matrix_elements(model: CircleSymbolModel,
     log_scale = 0.5 * math.log(2.0 * math.pi / model.alpha) if model.alpha > 0.0 else 0.0
     log_row = 0.5 * _log_diagonal(model, np.arange(cut + 1), log_scale)
     unscale = 2.0 * math.pi * math.exp(-log_scale)
-    bandwidth = 0 if model.fourier is None else len(model.fourier) - 1
     out = np.zeros((cut + 1, cut + 1), dtype=complex)
     with np.errstate(under="ignore"):
         for off in range(-min(bandwidth, cut), min(bandwidth, cut) + 1):
@@ -432,6 +463,31 @@ def label_product_batch(rows: np.ndarray) -> np.ndarray:
     return np.prod((1.0 - d * np.roll(d, -1, axis=1)) / (1.0 - d * d), axis=1)
 
 
+def _cyclic_trace(model: CircleSymbolModel, m: int, n_nodes: int) -> float:
+    """m-dimensional trapezoid sum of the cyclic integrand, without its prefactor.
+
+    The kernel depends on theta_j - theta_k only, so the n x n kernel matrix
+    is circulant: log and exp run on the n values of its first column, and
+    entry (j, k) is that column at (j - k) mod n (numpy reads a negative
+    j - k from the end, so no modulo is taken).  The column takes offsets
+    wrapped into [-1/2, 1/2), so the angle stays small where the kernel
+    peaks; from angles near 2 pi the factor alpha would magnify the rounding.
+    """
+    r, a = model.r, model.alpha
+    index = np.arange(n_nodes)
+    wrapped = ((index + n_nodes // 2) % n_nodes - n_nodes // 2) / n_nodes
+    base = 1.0 - r * r * np.exp(2j * np.pi * wrapped)
+    log_edge = a * (math.log(1.0 - r * r) - np.log(base)) - 2.0 * np.log(base)
+    with np.errstate(under="ignore"):
+        column = np.exp(log_edge)
+    edge = column[index[:, None] - index]
+    weighted = (model.symbol_values(index / n_nodes)[:, None] * edge) / n_nodes
+    prod = weighted
+    for _ in range(m - 1):
+        prod = prod @ weighted
+    return float(np.trace(prod).real)
+
+
 def composition_trace_quadrature(model: CircleSymbolModel, m: int,
                                  rel_tol: float = 1e-7,
                                  max_nodes: int = 1024) -> float:
@@ -441,7 +497,8 @@ def composition_trace_quadrature(model: CircleSymbolModel, m: int,
     over the circle (spectrally accurate for this smooth periodic function),
     doubling the per-axis node count until two successive values agree to
     ``rel_tol``.  The tensor sum is contracted as a matrix trace, which is
-    the identical sum in a fixed order.
+    the identical sum in a fixed order; the kernel matrix is circulant, so
+    each doubling evaluates log and exp on n values, not n^2.
     """
     if m not in (2, 3):
         raise DomainError(f"composition trace supports m in {{2, 3}}, got {m}")
@@ -450,23 +507,13 @@ def composition_trace_quadrature(model: CircleSymbolModel, m: int,
             "quadrature path requires alpha <= 200 (integrand peak resolution)")
     if max_nodes < 128:
         raise DomainError("node cap must allow at least one doubling (>= 128)")
-    r, a = model.r, model.alpha
-    c_alpha = normalizing_constant(1, a)
+    r = model.r
+    c_alpha = normalizing_constant(1, model.alpha)
     pref = (c_alpha * 2.0 * math.pi * r / (1.0 - r * r)) ** m
     prev = None
     n_nodes = 64
     while n_nodes <= max_nodes:
-        theta = np.arange(n_nodes) / n_nodes
-        diff = theta[:, None] - theta[None, :]
-        base = 1.0 - r * r * np.exp(2j * np.pi * diff)
-        log_edge = a * (math.log(1.0 - r * r) - np.log(base)) - 2.0 * np.log(base)
-        with np.errstate(under="ignore"):
-            edge = np.exp(log_edge)
-        weighted = (model.symbol_values(theta)[:, None] * edge) / n_nodes
-        prod = weighted
-        for _ in range(m - 1):
-            prod = prod @ weighted
-        val = pref * float(np.trace(prod).real)
+        val = pref * _cyclic_trace(model, m, n_nodes)
         if prev is not None and abs(val - prev) <= rel_tol * abs(val):
             return val
         prev = val

@@ -1,10 +1,12 @@
 import cmath
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import gammaln
 
@@ -24,6 +26,7 @@ from szegolab import (
     phase_value,
 )
 from szegolab import toeplitz
+from szegolab.specfun import normalizing_constant
 from szegolab.toeplitz import (
     MAX_MATRIX_ORDER,
     MAX_SPECTRUM_TERMS,
@@ -282,6 +285,55 @@ class TestMatrixElements:
         with pytest.raises(DomainError, match="cap"):
             matrix_elements(model)
 
+    def test_default_order_refused_in_bounded_memory(self):
+        # The order comes from a few hundred probes, not from an array of it.
+        model = CircleSymbolModel(r=0.5, alpha=1e5, fourier=(1.0, 0.3))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="cap"):
+                matrix_elements(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("r, alpha", [
+        (0.3, 10.0), (0.3, 100.0), (0.3, 1e3), (0.5, 10.0), (0.5, 100.0), (0.5, 1e3),
+        (0.7, 10.0), (0.7, 100.0), (0.7, 1e3),
+        # here the threshold lies past default_cutoff, so the bracket grows
+        (0.95, 1.0)])
+    @pytest.mark.parametrize("fourier", [(1.0, 0.3), (1.0, 0.2 + 0.1j, 0.1)])
+    def test_default_order_is_the_row_rule(self, r, alpha, fourier):
+        # Bandwidth + the last index past the peak whose diagonal is >= u^2
+        # of the peak, from every diagonal value up to well past the cutoff.
+        model = CircleSymbolModel(r=r, alpha=alpha, fourier=fourier)
+        lam = np.exp(_log_eigenvalues(model, np.arange(4 * default_cutoff(model))))
+        last = int(np.nonzero(lam >= 2.0 ** -106 * lam.max())[0][-1])
+        assert last < lam.size - 1
+        assert matrix_elements(model).shape[0] == len(fourier) + last
+
+    @pytest.mark.parametrize("r", [0.3, 0.5, 0.7])
+    @pytest.mark.parametrize("alpha", [10.0, 100.0, 1e3])
+    @pytest.mark.parametrize("fourier", [(1.0, 0.3), (1.0, 0.2 + 0.1j, 0.1)])
+    def test_default_order_keeps_the_spectrum(self, r, alpha, fourier):
+        # Against the longer default_cutoff truncation: the same head within
+        # 1e-14 of the top, and the same power sums.  Both matrices are
+        # banded, so scipy's banded solver takes them in O(n) memory.
+        model = CircleSymbolModel(r=r, alpha=alpha, fourier=fourier)
+        k = len(fourier) - 1
+
+        def spectrum(mat):
+            band = [np.concatenate((np.zeros(k - off), np.diagonal(mat, k - off)))
+                    for off in range(k + 1)]
+            return scipy.linalg.eigvals_banded(np.array(band))[::-1]
+
+        got = spectrum(matrix_elements(model))
+        full = spectrum(matrix_elements(model, cutoff=default_cutoff(model)))
+        assert got.size < full.size
+        assert np.max(np.abs(got - full[:got.size])) <= 1e-14 * full[0]
+        for p in (1, 2, 3):
+            assert abs(np.sum(got ** p) - np.sum(full ** p)) <= 1e-14 * abs(np.sum(full ** p))
+
     def test_constant_symbol_is_diagonal(self):
         # alpha <= 0 has no explicit spectrum, but the matrix exists.
         for alpha in (7.0, -0.5, 0.0):
@@ -418,6 +470,14 @@ class TestHermitianEigenvalues:
         with pytest.raises(ContractViolation):
             hermitian_eigenvalues(np.array([[1.0, 2.0], [0.5, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.inf)])
+    def test_rejects_non_finite_entries(self, bad):
+        a = np.array([[1.0, bad], [np.conj(bad), 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractViolation, match="NaN or infinite"):
+                hermitian_eigenvalues(a)
+
     def test_large_matrix_known_spectrum(self):
         # U diag(lam) U^H with U unitary (QR of a complex Gaussian) has the
         # spectrum lam by construction.
@@ -520,6 +580,40 @@ class TestCompositionTrace:
         for m in (2, 3):
             quad = composition_trace_quadrature(model, m)
             assert quad == pytest.approx(float(np.sum(lam ** m)), rel=1e-9)
+
+    @pytest.mark.parametrize("fourier", [None, (1.0, 0.3, 0.1j)])
+    @pytest.mark.parametrize("r, alpha", [(0.3, 5.0), (0.5, 50.0), (0.7, 200.0)])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_circulant_kernel_matches_dense_kernel(self, fourier, r, alpha, m):
+        # The kernel evaluated entry by entry on theta_j - theta_k, the
+        # public result's doubling included, at every node count it visits.
+        model = CircleSymbolModel(r=r, alpha=alpha, fourier=fourier)
+
+        def dense_sum(n_nodes):
+            theta = np.arange(n_nodes) / n_nodes
+            diff = theta[:, None] - theta[None, :]
+            base = 1.0 - r * r * np.exp(2j * np.pi * diff)
+            log_edge = alpha * (math.log(1.0 - r * r) - np.log(base)) - 2.0 * np.log(base)
+            with np.errstate(under="ignore"):
+                edge = np.exp(log_edge)
+            weighted = (model.symbol_values(theta)[:, None] * edge) / n_nodes
+            prod = weighted
+            for _ in range(m - 1):
+                prod = prod @ weighted
+            return float(np.trace(prod).real)
+
+        pref = (normalizing_constant(1, alpha) * 2.0 * math.pi * r / (1.0 - r * r)) ** m
+        prev, n_nodes = None, 64
+        while True:
+            want = dense_sum(n_nodes)
+            got = toeplitz._cyclic_trace(model, m, n_nodes)
+            assert abs(got - want) <= 1e-14 * abs(want)
+            if prev is not None and abs(pref * want - prev) <= 1e-7 * abs(pref * want):
+                break
+            prev, n_nodes = pref * want, 2 * n_nodes
+            assert n_nodes <= 1024
+        quad = composition_trace_quadrature(model, m)
+        assert abs(quad - pref * want) <= 1e-14 * abs(pref * want)
 
     def test_cyclic_shift_invariance(self):
         # The two-variable tensor sum is invariant under rotating the

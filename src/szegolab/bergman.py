@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DomainError
 from .specfun import WeightedModel, log_gamma
@@ -27,22 +27,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BallPoint:
-    """A point of the open unit ball with its squared norm cached."""
+    """A point of the open unit ball; ``norm_sq`` is computed from the coordinates."""
 
     coords: tuple
-    norm_sq: float
+    norm_sq: float = field(init=False)
 
     def __post_init__(self):
         ns = float(sum(abs(z) ** 2 for z in self.coords))
-        if abs(ns - self.norm_sq) > 1e-15 * max(1.0, ns):
-            raise DomainError("cached |z|^2 does not match the coordinates")
-        if not self.norm_sq < 1.0:
+        if not ns < 1.0:
             raise DomainError(f"point lies outside the open unit ball: |z|^2 = {ns}")
+        object.__setattr__(self, "norm_sq", ns)
 
     @classmethod
     def of(cls, *coords) -> "BallPoint":
-        c = tuple(complex(z) for z in coords)
-        return cls(c, float(sum(abs(z) ** 2 for z in c)))
+        return cls(tuple(complex(z) for z in coords))
 
 
 def _coords(point) -> tuple:

@@ -73,30 +73,22 @@ def truncate(x: float, decimals: int) -> float:
     return math.trunc(x * scale) / scale
 
 
-def _fmt_md(x) -> str:
+def _fmt(x, float_spec: str) -> str:
     if isinstance(x, str):
         return x
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    return f"{x:.5g}"
-
-
-def _fmt_csv(x) -> str:
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{x:.17g}"
+    return format(x, float_spec)
 
 
 def emit(headers, rows, fmt: str, out_path):
     if fmt == "csv":
         lines = [",".join(headers)]
-        lines += [",".join(_fmt_csv(c) for c in row) for row in rows]
+        lines += [",".join(_fmt(c, ".17g") for c in row) for row in rows]
     else:
         lines = ["| " + " | ".join(headers) + " |",
                  "|" + "|".join("---" for _ in headers) + "|"]
-        lines += ["| " + " | ".join(_fmt_md(c) for c in row) + " |" for row in rows]
+        lines += ["| " + " | ".join(_fmt(c, ".5g") for c in row) + " |" for row in rows]
     text = "\n".join(lines) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -124,7 +116,7 @@ def parse_phi(spec: str):
 
 
 def load_config(path: str) -> dict:
-    """Flat key=value lines; '#' starts a comment; no sections."""
+    """Flat key=value lines; '#' starts a comment; no sections; keys are flag names."""
     out = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -138,22 +130,26 @@ def load_config(path: str) -> dict:
         if "=" not in line:
             raise DomainError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
-        out[key.strip().replace("-", "_")] = value.strip()
+        out[key.strip()] = value.strip()
     return out
 
 
-_CONFIG_TYPES = dict(r=float, t1=float, t2=float, p=float, tol=float,
-                     m=int, d=int, seed=int, cutoff=int,
-                     alpha=str, phi=str, chart=str, format=str, out=str)
-
-
-def apply_config(args: argparse.Namespace, config: dict) -> None:
-    # Flags override the file: only fill in values the user did not pass.
-    for key, caster in _CONFIG_TYPES.items():
-        if getattr(args, key, None) is None and key in config:
-            setattr(args, key, parse_number(config[key], caster, f"config {key}"))
-    if args.format not in (None, *FORMATS):
-        raise DomainError(f"config format must be one of {', '.join(FORMATS)}, got {args.format!r}")
+def apply_config(args: argparse.Namespace, config: dict, defaults: dict) -> None:
+    """Set each flag the command reads and the user did not pass: from the
+    config file, else its default.  Config values are typed and
+    choice-checked from ``FLAGS``; a key the command does not read is refused."""
+    unknown = sorted(set(config) - set(defaults))
+    if unknown:
+        raise DomainError(f"config keys not read by {args.command}: {', '.join(unknown)}")
+    for key, value in defaults.items():
+        if key in config:
+            value = parse_number(config[key], FLAGS[key]["type"], f"config {key}")
+            choices = FLAGS[key].get("choices")
+            if choices and value not in choices:
+                raise DomainError(f"config {key} must be one of {', '.join(choices)}, "
+                                  f"got {value!r}")
+        if getattr(args, key) is None:
+            setattr(args, key, value)
 
 
 def parse_alpha_list(text: str):
@@ -206,8 +202,6 @@ def cmd_scan(args) -> int:
         raise DomainError("scan requires --alpha")
     alphas = parse_alpha_list(args.alpha)
     template = CircleSymbolModel(r=args.r, alpha=alphas[0])
-    if args.phi is None and args.p is not None:
-        args.phi = f"pow:{args.p:g}"  # --p is shorthand for a power scan
     if args.phi is not None:
         rows = convergence_scan(template, alphas, phi=parse_phi(args.phi),
                                 cutoff=args.cutoff)
@@ -229,12 +223,11 @@ def cmd_scan(args) -> int:
 def cmd_classify(args) -> int:
     if args.chart is None:
         raise DomainError("classify requires --chart")
-    chart = make_chart(args.chart, radius=args.r if args.r is not None else 0.5)
+    chart = make_chart(args.chart, radius=args.r)
     model = WeightedModel(n=chart.n, alpha=0.0)
-    tol = args.tol if args.tol is not None else 1e-4
     probes = [np.full(chart.d, 0.37), np.full(chart.d, 0.61),
               np.linspace(0.25, 0.75, chart.d)]
-    results = [classify(pullback_forms(model, chart, t), chart.n, chart.d, tol)
+    results = [classify(pullback_forms(model, chart, t), chart.n, chart.d, args.tol)
                for t in probes]
     tags = {res.tag for res in results}
     if len(tags) > 1:
@@ -246,10 +239,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_hessdet(args) -> int:
-    d = args.d if args.d is not None else 2
-    m = args.m if args.m is not None else 4
-    seed = args.seed if args.seed is not None else 0
-    g, h = random_metric_pair(d, np.random.default_rng(seed))
+    d, m = args.d, args.m
+    g, h = random_metric_pair(d, np.random.default_rng(args.seed))
     w = np.linalg.solve(g, h)
     spec = BlockHessianSpec(m=m, W=w)
     direct = det_direct(build_block_matrix(spec))
@@ -287,11 +278,11 @@ def cmd_qcheck(args) -> int:
 
 
 def cmd_trace_compare(args) -> int:
-    r = args.r if args.r is not None else 0.5
-    m = args.m if args.m is not None else 2
-    alpha = parse_alpha_list(args.alpha)[0] if args.alpha is not None else 50.0
-    tol = args.tol if args.tol is not None else 1e-5
-    model = CircleSymbolModel(r=r, alpha=alpha)
+    alphas = parse_alpha_list(args.alpha)
+    if len(alphas) != 1:
+        raise DomainError(f"trace-compare takes one alpha, got {args.alpha!r}")
+    alpha, m = alphas[0], args.m
+    model = CircleSymbolModel(r=args.r, alpha=alpha)
     quad = composition_trace_quadrature(model, m)
     spectrum = explicit_eigenvalues(model)
     unnorm = spectrum.eigenvalues * math.sqrt(2.0 * math.pi * alpha)
@@ -300,64 +291,70 @@ def cmd_trace_compare(args) -> int:
     emit(("quantity", "value"),
          [("quadrature", quad), ("eigenvalue_sum", eig_sum), ("rel_diff", rel)],
          args.format, args.out)
-    return EXIT_OK if rel <= tol else EXIT_ACCURACY
+    return EXIT_OK if rel <= args.tol else EXIT_ACCURACY
+
+
+# Every flag once: its type, choices and help.  A config key is a flag's name,
+# read with the same type and choices.
+FLAGS = {
+    "r": dict(type=float, help="circle/chart radius in (0,1)"),
+    "alpha": dict(type=str, help="weight alpha (scan: a comma-separated list)"),
+    "t1": dict(type=float, help="counting interval lower end"),
+    "t2": dict(type=float, help="counting interval upper end"),
+    "phi": dict(type=str, help="pow:<p> or poly:<c1,c2,...>"),
+    "chart": dict(type=str, choices=CHART_NAMES, help="built-in chart name"),
+    "m": dict(type=int, help="composition length / block count"),
+    "d": dict(type=int, help="block dimension"),
+    "seed": dict(type=int, help="RNG seed"),
+    "cutoff": dict(type=int, help="explicit truncation index"),
+    "tol": dict(type=float, help="tolerance"),
+    "format": dict(type=str, choices=FORMATS, help="output format"),
+    "out": dict(type=str, help="write the report here (default stdout)"),
+}
+
+
+# Each command: help, handler, and the flags it reads with their defaults
+# (None: unset).  Each subcommand takes exactly these flags plus --config.
+REPORT = dict(format="md", out=None)
+COMMANDS = {
+    "table1": ("reproduce the r=1/2 eigenvalue-count table",
+               lambda args: cmd_table(GOLDEN_TABLE1, args), REPORT),
+    "table2": ("reproduce the r=1/sqrt(2) eigenvalue-count table",
+               lambda args: cmd_table(GOLDEN_TABLE2, args), REPORT),
+    "scan": ("alpha scan of scaled traces or counts", cmd_scan,
+             dict(r=None, alpha=None, t1=None, t2=None, phi=None, cutoff=None, **REPORT)),
+    "classify": ("symplectic classification of a built-in chart", cmd_classify,
+                 dict(chart=None, r=0.5, tol=1e-4)),
+    "hessdet": ("three evaluations of the block-Hessian determinant", cmd_hessdet,
+                dict(d=2, m=4, seed=0, **REPORT)),
+    "qcheck": ("fractional-transform monomial identity check", cmd_qcheck, REPORT),
+    "trace-compare": ("composition-trace quadrature vs eigenvalue sums", cmd_trace_compare,
+                      dict(r=0.5, m=2, alpha="50", tol=1e-5, **REPORT)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="szegolab",
+        prog="szegolab", allow_abbrev=False,
         description="Toeplitz spectra on the weighted ball: tables, scans, checks.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in [
-        ("table1", "reproduce the r=1/2 eigenvalue-count table"),
-        ("table2", "reproduce the r=1/sqrt(2) eigenvalue-count table"),
-        ("scan", "alpha scan of scaled traces or counts"),
-        ("classify", "symplectic classification of a built-in chart"),
-        ("hessdet", "three evaluations of the block-Hessian determinant"),
-        ("qcheck", "fractional-transform monomial identity check"),
-        ("trace-compare", "composition-trace quadrature vs eigenvalue sums"),
-    ]:
-        cmd = sub.add_parser(name, help=helptext)
-        cmd.add_argument("--r", type=float, help="circle/chart radius in (0,1)")
-        cmd.add_argument("--alpha", type=str, help="comma-separated weight list")
-        cmd.add_argument("--t1", type=float, help="counting interval lower end")
-        cmd.add_argument("--t2", type=float, help="counting interval upper end")
-        cmd.add_argument("--p", type=float, help="power exponent")
-        cmd.add_argument("--phi", type=str, help="pow:<p> or poly:<c1,c2,...>")
-        cmd.add_argument("--chart", type=str, choices=CHART_NAMES,
-                         help="built-in chart name")
-        cmd.add_argument("--m", type=int, help="composition length / block count")
-        cmd.add_argument("--d", type=int, help="block dimension")
-        cmd.add_argument("--seed", type=int, help="RNG seed")
-        cmd.add_argument("--cutoff", type=int, help="explicit truncation index")
-        cmd.add_argument("--tol", type=float, help="tolerance override")
-        cmd.add_argument("--format", choices=FORMATS, default=None,
-                         help="output format (default md)")
-        cmd.add_argument("--out", type=str, help="write the report here")
+    for name, (helptext, _, defaults) in COMMANDS.items():
+        cmd = sub.add_parser(name, help=helptext, allow_abbrev=False)
+        for key, default in defaults.items():
+            flag = FLAGS[key]
+            text = flag["help"] if default is None else f"{flag['help']} (default {default})"
+            cmd.add_argument(f"--{key}", type=flag["type"], choices=flag.get("choices"), help=text)
         cmd.add_argument("--config", type=str, help="key=value defaults file")
     return parser
-
-
-_DISPATCH = {
-    "table1": lambda args: cmd_table(GOLDEN_TABLE1, args),
-    "table2": lambda args: cmd_table(GOLDEN_TABLE2, args),
-    "scan": cmd_scan,
-    "classify": cmd_classify,
-    "hessdet": cmd_hessdet,
-    "qcheck": cmd_qcheck,
-    "trace-compare": cmd_trace_compare,
-}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.config:
-            apply_config(args, load_config(args.config))
-        if args.format is None:
-            args.format = "md"
-        return _DISPATCH[args.command](args)
+        _, run, defaults = COMMANDS[args.command]
+        apply_config(args, load_config(args.config) if args.config else {}, defaults)
+        return run(args)
     except AccuracyError as exc:
         print(f"accuracy error: {exc}", file=sys.stderr)
         return EXIT_ACCURACY

@@ -23,11 +23,11 @@ from .errors import ContractViolation
 __all__ = ["hermitian_eigenvalues"]
 
 
-def hermitian_eigenvalues(matrix, hermitian_tol: float = 1e-12) -> np.ndarray:
+def hermitian_eigenvalues(matrix) -> np.ndarray:
     """All eigenvalues of a Hermitian (or real symmetric) matrix, descending.
 
     The input must be square, finite and satisfy max|A - A*| <
-    hermitian_tol * ||A||_F, otherwise ContractViolation is raised; a NaN
+    1e-12 * ||A||_F, otherwise ContractViolation is raised; a NaN
     or inf entry is refused before the Hermitian check, which it would turn
     into NaN eigenvalues or a warning.
     """
@@ -39,6 +39,6 @@ def hermitian_eigenvalues(matrix, hermitian_tol: float = 1e-12) -> np.ndarray:
     scale = float(np.linalg.norm(a))
     if scale == 0.0:
         return np.zeros(a.shape[0])
-    if float(np.max(np.abs(a - a.conj().T))) >= hermitian_tol * scale:
+    if float(np.max(np.abs(a - a.conj().T))) >= 1e-12 * scale:
         raise ContractViolation("matrix is not Hermitian within tolerance")
     return np.linalg.eigvalsh(a)[::-1]

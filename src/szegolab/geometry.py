@@ -140,7 +140,7 @@ class ChartedSubmanifold:
     (n, d, N), column j being the derivative in t[j].  Outputs are read
     with numpy broadcasting, so a constant part needs the trailing node
     axis (length 1) unless n = d = 1.  If ``jacobian`` is omitted, central
-    finite differences with step ``fd_step`` are taken over the whole batch,
+    finite differences with step 1e-5 are taken over the whole batch,
     2d chart calls per Jacobian.  A chart that handles one point only is
     still enough for the one-point functions (``point``, ``jacobian_at``,
     ``volume_density``, ``pullback_forms``), which pass shape (d,).
@@ -151,7 +151,6 @@ class ChartedSubmanifold:
     d: int
     chart: Callable[[np.ndarray], np.ndarray]
     jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    fd_step: float = 1e-5
 
     def _params(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -172,12 +171,13 @@ class ChartedSubmanifold:
         if self.jacobian is not None:
             return _evaluate(self.jacobian, t, shape, f"Jacobian of chart {self.name!r}")
         jac = np.empty(shape, dtype=complex)
+        step = 1e-5
         for j in range(self.d):
             tp = t.copy()
             tm = t.copy()
-            tp[j] += self.fd_step
-            tm[j] -= self.fd_step
-            jac[:, j] = (self.point(tp) - self.point(tm)) / (2.0 * self.fd_step)
+            tp[j] += step
+            tm[j] -= step
+            jac[:, j] = (self.point(tp) - self.point(tm)) / (2.0 * step)
         return jac
 
     def _pullback_one(self, model: WeightedModel, t) -> _Pullback:

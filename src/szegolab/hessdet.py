@@ -183,10 +183,10 @@ def det_closed_form(m: int, n: int, d: int, cls) -> ClosedFormDet:
     return ClosedFormDet(sqrt_det=sqrt_det, unified=unified)
 
 
-def random_metric_pair(d: int, rng: np.random.Generator, eps: float = 0.5):
+def random_metric_pair(d: int, rng: np.random.Generator):
     """Seeded (G, H) with G symmetric positive definite and H skew.
 
-    G = A^T A + eps*I and H = B - B^T with uniform(-1, 1) entries; this is
+    G = A^T A + I/2 and H = B - B^T with uniform(-1, 1) entries; this is
     exactly the shape in which the pullback data arises, so W = G^{-1}H is
     skew-adjoint with respect to G.
     """
@@ -194,6 +194,6 @@ def random_metric_pair(d: int, rng: np.random.Generator, eps: float = 0.5):
         raise DomainError(f"block dimension must be >= 1, got {d}")
     a = rng.uniform(-1.0, 1.0, size=(d, d))
     b = rng.uniform(-1.0, 1.0, size=(d, d))
-    g = a.T @ a + eps * np.eye(d)
+    g = a.T @ a + 0.5 * np.eye(d)
     h = b - b.T
     return g, h

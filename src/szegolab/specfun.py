@@ -106,14 +106,17 @@ def binomial(m: int, k: int) -> int:
 def normalizing_constant(n: int, alpha: float) -> float:
     """Weight normalization Gamma(alpha+1+n) / (n! Gamma(alpha+1)).
 
-    Computed in log space; behaves like alpha^n / n! for large alpha.
+    The product prod_{k=1..n} (alpha+k)/k: n = 1 gives alpha + 1 correctly
+    rounded.  Behaves like alpha^n / n!; past the float range, DomainError.
     """
     if n < 1 or int(n) != n:
         raise DomainError(f"dimension n must be a positive integer, got {n}")
     if not alpha > -1.0:
         raise DomainError(f"weight parameter must exceed -1, got {alpha}")
-    return math.exp(log_gamma(alpha + 1.0 + n) - log_gamma(alpha + 1.0)
-                    - log_gamma(n + 1.0))
+    c = math.prod((alpha + k) / k for k in range(1, int(n) + 1))
+    if not math.isfinite(c):
+        raise DomainError(f"normalizing constant overflows for n={n}, alpha={alpha}")
+    return c
 
 
 @dataclass(frozen=True)

@@ -60,7 +60,6 @@ class PhiFunction:
 
     fn: Callable[[np.ndarray], np.ndarray]
     p_exponent: float
-    label: str = "phi"
 
     def __post_init__(self):
         if not self.p_exponent > 0.0:
@@ -79,7 +78,7 @@ def power_phi(p: float) -> PhiFunction:
         with np.errstate(under="ignore"):
             return np.asarray(s, dtype=float) ** p
 
-    return PhiFunction(fn=fn, p_exponent=min(p, 1.0), label=f"pow:{p:g}")
+    return PhiFunction(fn=fn, p_exponent=min(p, 1.0))
 
 
 def poly_phi(coeffs: Sequence[float]) -> PhiFunction:
@@ -99,8 +98,7 @@ def poly_phi(coeffs: Sequence[float]) -> PhiFunction:
             out += c * power
         return out
 
-    label = "poly:" + ",".join(f"{c:g}" for c in cs)
-    return PhiFunction(fn=fn, p_exponent=1.0, label=label)
+    return PhiFunction(fn=fn, p_exponent=1.0)
 
 
 @dataclass(frozen=True)
@@ -109,15 +107,18 @@ class QTransformSpec:
 
     epsilon: float
     phi: PhiFunction
-    quad_order: int = 16
 
     def __post_init__(self):
         if self.epsilon < 0.0:
             raise DomainError(f"transform order must be >= 0, got {self.epsilon}")
 
 
-# Order doublings of the transform's Gauss ladder.
+# The transform's Gauss ladder: starting order and order doublings.
+Q_ORDER = 16
 Q_MAX_DOUBLINGS = 6
+# The limit integrals: agreement target and the circle grid's first node count.
+RHS_REL_TOL = 1e-6
+RHS_NODES = 32
 
 
 def q_transform(spec: QTransformSpec, t):
@@ -158,7 +159,7 @@ def q_transform(spec: QTransformSpec, t):
         return float(vals[0]) if scalar else vals
     unit_edges = graded_edges(0.0, 1.0, levels=48)
     v_max = ((710.0 + np.abs(np.log(ts))) / min(spec.phi.p_exponent, 1.0)) ** eps
-    top_order = spec.quad_order * 2 ** Q_MAX_DOUBLINGS
+    top_order = Q_ORDER * 2 ** Q_MAX_DOUBLINGS
     rows = max(1, BLOCK_ELEMENTS // top_order)
     vals = np.empty_like(ts)
     with np.errstate(under="ignore"):
@@ -166,7 +167,7 @@ def q_transform(spec: QTransformSpec, t):
             chunk = slice(start, start + rows)
             vals[chunk] = v_max[chunk] * adaptive_integral(
                 _q_integrand(spec.phi, ts[chunk], v_max[chunk], 1.0 / eps), unit_edges,
-                rel_tol=1e-10, order=spec.quad_order, max_doublings=Q_MAX_DOUBLINGS,
+                rel_tol=1e-10, order=Q_ORDER, max_doublings=Q_MAX_DOUBLINGS,
                 what=lambda failed, tc=ts[chunk]: (
                     f"q_transform(eps={eps:g}, t={', '.join(f'{x:g}' for x in tc[failed])})"))
     vals /= math.gamma(eps + 1.0)
@@ -204,13 +205,13 @@ def monomial_rhs_circle(r: float, m: int) -> float:
     return circumference / ((1.0 - r * r) ** (2 * m) * math.sqrt(2.0 * m))
 
 
-def szego_rhs(model: CircleSymbolModel, phi: PhiFunction,
-              rel_tol: float = 1e-6, quad_order: int = 32) -> float:
+def szego_rhs(model: CircleSymbolModel, phi: PhiFunction) -> float:
     """Limit of sqrt(pi/alpha) Tr phi(T-hat) for the circle model.
 
     (1/sqrt(2)) int Q_{1/2}(phi)(a(xi)(1-|xi|^2)^{-2}) dsigma(xi).  The
     constant symbol makes the integrand constant and the integral exact;
-    Fourier symbols go through periodic quadrature with node doubling.
+    Fourier symbols go through periodic quadrature from ``RHS_NODES`` nodes,
+    doubled up to six times until two grids agree to ``RHS_REL_TOL``.
     """
     spec = QTransformSpec(epsilon=0.5, phi=phi)
     circumference = 2.0 * math.pi * model.r / (1.0 - model.r ** 2)
@@ -225,14 +226,14 @@ def szego_rhs(model: CircleSymbolModel, phi: PhiFunction,
 
     # The periodic grid of 2n nodes holds the grid of n as its even nodes,
     # so each doubling evaluates only the n new odd nodes.
-    n_nodes = quad_order
+    n_nodes = RHS_NODES
     total = transformed_sum(np.arange(n_nodes) / n_nodes)
     prev = total / n_nodes
     for _ in range(6):
         total += transformed_sum((2.0 * np.arange(n_nodes) + 1.0) / (2 * n_nodes))
         n_nodes *= 2
         cur = total / n_nodes
-        if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
+        if abs(cur - prev) <= RHS_REL_TOL * max(abs(cur), 1e-300):
             return circumference * cur / math.sqrt(2.0)
         prev = cur
     raise AccuracyError(
@@ -241,13 +242,13 @@ def szego_rhs(model: CircleSymbolModel, phi: PhiFunction,
 
 def szego_rhs_chart(wmodel: WeightedModel, chart: ChartedSubmanifold,
                     symbol: Callable[[np.ndarray], np.ndarray], phi: PhiFunction,
-                    dprime: float, rel_tol: float = 1e-6) -> float:
+                    dprime: float) -> float:
     """Limit integral over a one-dimensional chart (curves only).
 
     (1/2^{d'/2}) int Q_{d'/2}(phi)(a(gamma(t)) (1-|gamma(t)|^2)^{-(n+1)})
-    sqrt(G(t)) dt over the chart domain (0, 1).  Higher-dimensional charts
-    are out of scope: the worked example with an independent oracle is a
-    curve.
+    sqrt(G(t)) dt over the chart domain (0, 1), to ``RHS_REL_TOL``.
+    Higher-dimensional charts are out of scope: the worked example with an
+    independent oracle is a curve.
 
     The chart, its Jacobian and ``symbol`` are called once per block of
     quadrature nodes, with parameters of shape (d, N) = (1, N) (see
@@ -282,17 +283,16 @@ def szego_rhs_chart(wmodel: WeightedModel, chart: ChartedSubmanifold,
         return out
 
     edges = np.linspace(0.0, 1.0, 9)
-    val = adaptive_integral(integrand, edges, rel_tol=rel_tol, order=8,
+    val = adaptive_integral(integrand, edges, rel_tol=RHS_REL_TOL, order=8,
                             max_doublings=5, what="szego_rhs_chart")
     return val / 2.0 ** (dprime / 2.0)
 
 
 @dataclass(frozen=True)
 class CountPrediction:
-    """Alpha-free limit of the scaled eigenvalue count, plus an estimate."""
+    """Alpha-free limit of the scaled eigenvalue count."""
 
     limit: float
-    estimate: Optional[float] = None  # the sqrt(8 alpha)-scaled count at a given alpha
 
 
 def _log_reciprocal(r: float, t: float) -> float:
@@ -307,13 +307,13 @@ def _log_reciprocal(r: float, t: float) -> float:
     return val
 
 
-def count_prediction(r: float, t1: float, t2: float,
-                     alpha: Optional[float] = None) -> CountPrediction:
+def count_prediction(r: float, t1: float, t2: float) -> CountPrediction:
     """Limiting scaled count of eigenvalues in [t1, t2] for the circle.
 
     limit = sqrt(8 pi) r/(1-r^2) [sqrt(ln(1/((1-r^2)^2 t1)))
                                   - sqrt(ln(1/((1-r^2)^2 t2)))];
-    with ``alpha`` given, also the count estimate limit * sqrt(alpha/pi).
+    the predicted count at a given alpha is limit * sqrt(alpha/pi), the
+    ``rhs_asymptotic_count`` of a counting ``convergence_scan`` row.
     Endpoints above the norm bound 1/(1-r^2)^2 are rejected.
     """
     if not 0.0 < r < 1.0:
@@ -324,8 +324,7 @@ def count_prediction(r: float, t1: float, t2: float,
     u2 = _log_reciprocal(r, t2)
     limit = (math.sqrt(8.0 * math.pi) * r / (1.0 - r * r)
              * (math.sqrt(u1) - math.sqrt(u2)))
-    est = None if alpha is None else limit * math.sqrt(alpha / math.pi)
-    return CountPrediction(limit=limit, estimate=est)
+    return CountPrediction(limit=limit)
 
 
 def eigen_count(spectrum: SpectrumTruncation, t1: float, t2: float) -> int:

@@ -57,6 +57,10 @@ _ROW_FLOOR = 2.0 ** -106
 # Most probes per bracket and level of the windowed count: brackets up to
 # 257^L indices close in L levels (L = 4 at m* ~ 5e7).
 _MAX_PROBES = 256
+# The composition trace: agreement target of successive node counts, and the
+# node cap per axis.
+COMPOSITION_REL_TOL = 1e-7
+COMPOSITION_MAX_NODES = 1024
 
 
 @dataclass(frozen=True)
@@ -138,14 +142,14 @@ class SpectrumTruncation:
     normalized: bool
     norm_bound: float
 
-    def argmax_index(self, rel_tol: float = 1e-12) -> int:
-        """Largest basis index attaining the maximum within rel_tol.
+    def argmax_index(self) -> int:
+        """Largest basis index attaining the maximum within 1e-12 relative.
 
         Adjacent eigenvalues tie exactly when (alpha+1) r^2/(1-r^2) is an
         integer; the largest index is the canonical representative.
         """
         top = float(self.by_index.max())
-        hits = np.nonzero(self.by_index >= top * (1.0 - rel_tol))[0]
+        hits = np.nonzero(self.by_index >= top * (1.0 - 1e-12))[0]
         return int(hits[-1])
 
 
@@ -482,48 +486,46 @@ def _cyclic_trace(model: CircleSymbolModel, m: int, n_nodes: int) -> float:
         column = np.exp(log_edge)
     edge = column[index[:, None] - index]
     weighted = (model.symbol_values(index / n_nodes)[:, None] * edge) / n_nodes
+    # trace(W^m) = sum_jk (W^(m-1))_jk W_kj: one dense product fewer than W^m.
     prod = weighted
-    for _ in range(m - 1):
+    for _ in range(m - 2):
         prod = prod @ weighted
-    return float(np.trace(prod).real)
+    return float(np.sum(prod * weighted.T).real)
 
 
-def composition_trace_quadrature(model: CircleSymbolModel, m: int,
-                                 rel_tol: float = 1e-7,
-                                 max_nodes: int = 1024) -> float:
+def composition_trace_quadrature(model: CircleSymbolModel, m: int) -> float:
     """Unnormalized trace of the m-fold composition by periodic quadrature.
 
     Evaluates the m-dimensional trapezoid sum of the exact cyclic integrand
     over the circle (spectrally accurate for this smooth periodic function),
     doubling the per-axis node count until two successive values agree to
-    ``rel_tol``.  The tensor sum is contracted as a matrix trace, which is
-    the identical sum in a fixed order; the kernel matrix is circulant, so
-    each doubling evaluates log and exp on n values, not n^2.
+    ``COMPOSITION_REL_TOL`` (capped at ``COMPOSITION_MAX_NODES``).  The
+    tensor sum is contracted as a matrix trace, which is the identical sum
+    in a fixed order; the kernel matrix is circulant, so each doubling
+    evaluates log and exp on n values, not n^2.
     """
     if m not in (2, 3):
         raise DomainError(f"composition trace supports m in {{2, 3}}, got {m}")
     if model.alpha > 200.0:
         raise DomainError(
             "quadrature path requires alpha <= 200 (integrand peak resolution)")
-    if max_nodes < 128:
-        raise DomainError("node cap must allow at least one doubling (>= 128)")
     r = model.r
     c_alpha = normalizing_constant(1, model.alpha)
     pref = (c_alpha * 2.0 * math.pi * r / (1.0 - r * r)) ** m
     prev = None
     n_nodes = 64
-    while n_nodes <= max_nodes:
+    while n_nodes <= COMPOSITION_MAX_NODES:
         val = pref * _cyclic_trace(model, m, n_nodes)
-        if prev is not None and abs(val - prev) <= rel_tol * abs(val):
+        if prev is not None and abs(val - prev) <= COMPOSITION_REL_TOL * abs(val):
             return val
         prev = val
         n_nodes *= 2
     last_gap = abs(val - prev) / abs(val)
     if last_gap <= 1e-6:
         warnings.warn(
-            f"composition trace reached the {max_nodes}-node cap with relative "
+            f"composition trace reached the {COMPOSITION_MAX_NODES}-node cap with relative "
             f"gap {last_gap:.2e}; returning the finest value")
         return val
     raise AccuracyError(
-        f"composition trace did not converge: cap {max_nodes} nodes/axis, "
-        f"last relative gap {last_gap:.2e}, target {rel_tol:g}")
+        f"composition trace did not converge: cap {COMPOSITION_MAX_NODES} nodes/axis, "
+        f"last relative gap {last_gap:.2e}, target {COMPOSITION_REL_TOL:g}")

@@ -37,10 +37,6 @@ class TestBallPoint:
         with pytest.raises(DomainError):
             BallPoint.of(0.9, 0.9)
 
-    def test_rejects_wrong_cache(self):
-        with pytest.raises(DomainError):
-            BallPoint((0.5 + 0j,), 0.7)
-
 
 class TestKernel:
     def test_at_origin(self):

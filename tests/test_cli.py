@@ -126,13 +126,6 @@ class TestScan:
         assert run(["scan", "--r", "0.5", "--alpha", "1000",
                     "--phi", "poly:2,3"]) == 0
 
-    def test_power_shorthand_flag(self, capsys):
-        assert run(["scan", "--r", "0.5", "--alpha", "1000", "--p", "2"]) == 0
-        with_p = capsys.readouterr().out
-        assert run(["scan", "--r", "0.5", "--alpha", "1000",
-                    "--phi", "pow:2"]) == 0
-        assert capsys.readouterr().out == with_p
-
 
 class TestClassify:
     def test_circle_output_line(self, capsys):
@@ -263,3 +256,77 @@ class TestParser:
         assert cli.truncate(13.4769, 2) == 13.47
         assert cli.truncate(2.375088, 4) == 2.3750
         assert cli.truncate(5.602693, 2) == 5.60
+
+
+# A valid command-line value for each flag, for the parser-only checks.
+FLAG_VALUES = dict(r="0.5", alpha="100", t1="0.5", t2="1.5", phi="pow:1", chart="circle",
+                   m="2", d="2", seed="1", cutoff="50", tol="1e-4", format="csv", out="x")
+
+
+def declared(name):
+    """The flags a command reads, from its COMMANDS entry (help, handler, defaults)."""
+    return set(cli.COMMANDS[name][2])
+
+
+class TestCommandContract:
+    def test_every_flag_has_a_value(self):
+        assert set(FLAG_VALUES) == set(cli.FLAGS)
+
+    def test_flag_slots(self):
+        # 7 commands, each with its own flags plus --config.
+        assert sum(len(declared(name)) + 1 for name in cli.COMMANDS) == 35
+
+    @pytest.mark.parametrize("name", sorted(cli.COMMANDS))
+    def test_offers_exactly_its_flags(self, name):
+        parsed = vars(cli.build_parser().parse_args([name]))
+        assert set(parsed) == declared(name) | {"command", "config"}
+        for key in declared(name):
+            assert vars(cli.build_parser().parse_args(
+                [name, f"--{key}", FLAG_VALUES[key]]))[key] is not None
+
+    @pytest.mark.parametrize("name", sorted(cli.COMMANDS))
+    def test_unread_flag_exits_2(self, name, capsys):
+        unread = sorted(set(cli.FLAGS) - declared(name))
+        assert unread  # every command leaves some flag unread
+        for key in unread:
+            with pytest.raises(SystemExit) as exc:
+                run([name, f"--{key}", FLAG_VALUES[key]])
+            assert exc.value.code == 2
+
+    @pytest.mark.parametrize("name", sorted(cli.COMMANDS))
+    def test_unread_config_key_exits_2(self, name, tmp_path, capsys):
+        unread = sorted(set(cli.FLAGS) - declared(name))
+        cfg = tmp_path / "run.cfg"
+        for key in unread + ["config", "p"]:
+            cfg.write_text(f"{key} = {FLAG_VALUES.get(key, '1')}\n")
+            assert run([name, "--config", str(cfg)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"error: config keys not read by {name}: {key}" in captured.err
+
+    def test_no_abbreviated_flags(self, capsys):
+        for argv in (["--he"], ["scan", "--alph", "100"],
+                     ["scan", "--r", "0.5", "--alpha", "100", "--p", "2"]):
+            with pytest.raises(SystemExit) as exc:
+                run(argv)
+            assert exc.value.code == 2
+
+    def test_trace_compare_takes_one_alpha(self, capsys):
+        assert run(["trace-compare", "--alpha", "30,50"]) == 2
+        assert "one alpha" in capsys.readouterr().err
+
+    def test_config_values_are_typed_and_checked(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("chart = torus\n")
+        assert run(["classify", "--config", str(cfg)]) == 2
+        assert "chart" in capsys.readouterr().err
+        cfg.write_text("chart = circle\nr = 0.3\n")
+        assert run(["classify", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out.startswith("isotropic")
+        cfg.write_text("m = 2.5\n")
+        assert run(["hessdet", "--config", str(cfg)]) == 2
+        assert "could not parse config m" in capsys.readouterr().err
+        # A bad value is refused even where a flag overrides it.
+        cfg.write_text("format = xml\n")
+        assert run(["qcheck", "--format", "csv", "--config", str(cfg)]) == 2
+        assert "format" in capsys.readouterr().err

@@ -119,6 +119,23 @@ class TestNormalizingConstant:
         with pytest.raises(DomainError):
             normalizing_constant(0, 1.0)
 
+    def test_one_dimension_is_exact(self):
+        # Gamma(alpha + 2) / Gamma(alpha + 1) = alpha + 1, with no rounding
+        # left at alpha = 1e5 (the log-gamma form was off by 5e-11).
+        assert normalizing_constant(1, 1e5) == 100001.0
+        assert normalizing_constant(1, 30.0) == 31.0
+
+    def test_matches_gamma_ratio(self):
+        for n in (1, 2, 3, 5):
+            for alpha in (-0.5, 0.0, 2.5, 40.0, 300.0):
+                want = math.exp(math.lgamma(alpha + 1 + n) - math.lgamma(alpha + 1)
+                                - math.lgamma(n + 1))
+                assert normalizing_constant(n, alpha) == pytest.approx(want, rel=1e-12)
+
+    def test_overflow_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="overflows"):
+            normalizing_constant(3, 1e200)
+
 
 class TestWeightedModel:
     def test_constant_formula(self):

@@ -203,9 +203,9 @@ class TestSzegoRhs:
 
         monkeypatch.setattr(szego, "q_transform", counting)
         model = CircleSymbolModel(r=0.5, alpha=10.0, fourier=(1.0, 0.3))
-        szego_rhs(model, power_phi(0.5), quad_order=8)
+        szego_rhs(model, power_phi(0.5))
         assert len(seen) >= 2
-        assert seen == [8] + [8 * 2 ** k for k in range(len(seen) - 1)]
+        assert seen == [32] + [32 * 2 ** k for k in range(len(seen) - 1)]
 
     def test_symbol_zero_fails_fast(self):
         # a = 1 + cos(2 pi theta) vanishes at theta = 1/2, where a^0.3 is not
@@ -319,10 +319,6 @@ class TestCountPrediction:
 
     def test_degenerate_interval(self):
         assert count_prediction(0.5, 1.0, 1.0).limit == 0.0
-
-    def test_estimate_scaling(self):
-        pred = count_prediction(0.5, 16 / 15, 16 / 9, alpha=100.0)
-        assert pred.estimate == pytest.approx(pred.limit * math.sqrt(100.0 / math.pi))
 
     def test_rejects_endpoint_above_bound(self):
         with pytest.raises(DomainError):

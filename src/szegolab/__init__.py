@@ -15,15 +15,13 @@ from .errors import (
     SzegolabError,
     UnsupportedClassError,
 )
-from .specfun import WeightedModel, beta_fn, binomial, log_gamma, normalizing_constant
-from .bergman import BallPoint, BasisConstant, basis_constant, kernel, normalized_kernel
+from .specfun import WeightedModel, binomial, log_gamma, normalizing_constant
 from .eigen import hermitian_eigenvalues
 from .geometry import (
     CHART_NAMES,
     ChartedSubmanifold,
     MetricPair,
     SymplecticClass,
-    ambient_metric,
     classify,
     make_chart,
     pullback_forms,
@@ -48,13 +46,10 @@ from .toeplitz import (
     default_cutoff,
     explicit_count,
     explicit_eigenvalues,
-    label_product,
     largest_eigenvalue_index,
     matrix_elements,
-    phase_value,
 )
 from .szego import (
-    CountPrediction,
     NormAsymptote,
     PhiFunction,
     QTransformSpec,
@@ -62,7 +57,6 @@ from .szego import (
     convergence_scan,
     count_prediction,
     eigen_count,
-    eigenvalue_density,
     monomial_rhs_circle,
     norm_asymptote,
     poly_phi,

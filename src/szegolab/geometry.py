@@ -27,7 +27,6 @@ from .errors import ContractViolation, DomainError, RankError
 from .specfun import WeightedModel
 
 __all__ = [
-    "ambient_metric",
     "ChartedSubmanifold",
     "MetricPair",
     "SymplecticClass",
@@ -66,8 +65,11 @@ def _at(ts, i: int) -> str:
 def _ambient_batch(model: WeightedModel, points: np.ndarray, ts=None):
     """Gaps s = 1 - |p|^2 (N,) and ambient metrics (N, n, n) at points (n, N).
 
-    DomainError for points of the wrong dimension, and at the first point
-    outside the open ball (named by its parameter in ``ts``, if given).
+    The invariant Hermitian metric of the ball has entry (j, k) equal to
+    delta_jk / s + conj(p_j) p_k / s^2, the complex Hessian of
+    -log(1 - |z|^2); it is positive definite inside the ball.  DomainError
+    for points of the wrong dimension, and at the first point outside the
+    open ball (named by its parameter in ``ts``, if given).
     """
     if points.shape[0] != model.n:
         raise DomainError(f"point has dimension {points.shape[0]}, model has n={model.n}")
@@ -80,16 +82,6 @@ def _ambient_batch(model: WeightedModel, points: np.ndarray, ts=None):
     s3 = s[:, None, None]
     eye = np.eye(model.n, dtype=complex)
     return s, eye / s3 + np.einsum("jN,kN->Njk", points.conj(), points) / s3 ** 2
-
-
-def ambient_metric(model: WeightedModel, p) -> np.ndarray:
-    """Invariant Hermitian metric of the ball at p, as an n x n matrix.
-
-    Entry (j, k) is delta_jk / (1 - |p|^2) + conj(p_j) p_k / (1 - |p|^2)^2,
-    the complex Hessian of -log(1 - |z|^2); positive definite inside the ball.
-    """
-    coords = np.asarray(getattr(p, "coords", p), dtype=complex).reshape(-1, 1)
-    return _ambient_batch(model, coords)[1][0]
 
 
 class _Pullback(NamedTuple):
@@ -195,11 +187,14 @@ class ChartedSubmanifold:
 
 @dataclass(frozen=True)
 class MetricPair:
-    """Pullback data at one chart point: G symmetric, H skew, W = G^{-1} H."""
+    """Pullback data at one chart point: G symmetric positive definite, H skew.
+
+    The rotation W = G^{-1} H is not formed; ``skew_half_spectrum`` reads
+    its spectrum from G and H.
+    """
 
     G: np.ndarray
     H: np.ndarray
-    W: np.ndarray
 
 
 def pullback_forms(model: WeightedModel, manifold: ChartedSubmanifold, t) -> MetricPair:
@@ -209,8 +204,7 @@ def pullback_forms(model: WeightedModel, manifold: ChartedSubmanifold, t) -> Met
     numerically singular (degenerate chart).
     """
     pair = manifold._pullback_one(model, t)
-    g, h = pair.G[0], pair.H[0]
-    return MetricPair(G=g, H=h, W=np.linalg.solve(g, h))
+    return MetricPair(G=pair.G[0], H=pair.H[0])
 
 
 def skew_half_spectrum(G: np.ndarray, H: np.ndarray) -> np.ndarray:

@@ -1,14 +1,14 @@
-"""Scalar special functions: log-gamma, Beta, binomials, weight normalization.
+"""Scalar special functions: log-gamma, binomials, weight normalization.
 
-Everything downstream (eigenvalue formulas, Beta asymptotics, weight
-constants) is evaluated in log space and exponentiated last, because factors
-like (1 - r^2)^(alpha - 1) underflow long before alpha reaches 1e5.
+Everything downstream (eigenvalue formulas, weight constants) is evaluated
+in log space and exponentiated last, because factors like
+(1 - r^2)^(alpha - 1) underflow long before alpha reaches 1e5.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,7 +16,6 @@ from .errors import DomainError
 
 __all__ = [
     "log_gamma",
-    "beta_fn",
     "binomial",
     "normalizing_constant",
     "WeightedModel",
@@ -85,17 +84,6 @@ def log_gamma(x):
     return out
 
 
-def beta_fn(x: float, y: float) -> float:
-    """Euler Beta function B(x, y) = Gamma(x)Gamma(y)/Gamma(x+y), x, y > 0.
-
-    Evaluated as exp(lgamma x + lgamma y - lgamma(x+y)); the symmetric log
-    sum makes B(x, y) == B(y, x) bitwise.
-    """
-    if not (x > 0.0 and y > 0.0):
-        raise DomainError(f"beta_fn requires positive arguments, got ({x}, {y})")
-    return math.exp(log_gamma(x) + log_gamma(y) - log_gamma(x + y))
-
-
 def binomial(m: int, k: int) -> int:
     """Binomial coefficient C(m, k), exact integer arithmetic for every m."""
     if m < 0 or k < 0:
@@ -121,21 +109,13 @@ def normalizing_constant(n: int, alpha: float) -> float:
 
 @dataclass(frozen=True)
 class WeightedModel:
-    """Ambient analytic context: complex dimension n and weight alpha > -1.
-
-    The normalizing constant is cached at construction since every kernel
-    and trace formula reuses it.
-    """
+    """Ambient analytic context: complex dimension n and weight alpha > -1."""
 
     n: int
     alpha: float
-    c_alpha: float = field(init=False)
 
     def __post_init__(self):
-        c = normalizing_constant(self.n, self.alpha)  # validates n, alpha
-        object.__setattr__(self, "c_alpha", c)
-
-    @property
-    def kernel_exponent(self) -> float:
-        """The power n + 1 + alpha appearing in the reproducing kernel."""
-        return self.n + 1.0 + self.alpha
+        if self.n < 1 or int(self.n) != self.n:
+            raise DomainError(f"dimension n must be a positive integer, got {self.n}")
+        if not self.alpha > -1.0:
+            raise DomainError(f"weight parameter must exceed -1, got {self.alpha}")

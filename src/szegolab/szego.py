@@ -1,4 +1,4 @@
-"""Limit-theorem machinery: the fractional transform, densities, and scans.
+"""Limit-theorem machinery: the fractional transform, limits, and scans.
 
 The scaled traces (pi/alpha)^{1/2} Tr phi(T-hat) of the circle model converge
 to an alpha-free integral of a log-kernel fractional integral of phi.  This
@@ -37,11 +37,9 @@ __all__ = [
     "monomial_rhs_circle",
     "szego_rhs",
     "szego_rhs_chart",
-    "CountPrediction",
     "count_prediction",
     "eigen_count",
     "schatten_limit",
-    "eigenvalue_density",
     "ScanRow",
     "convergence_scan",
     "NormAsymptote",
@@ -288,13 +286,6 @@ def szego_rhs_chart(wmodel: WeightedModel, chart: ChartedSubmanifold,
     return val / 2.0 ** (dprime / 2.0)
 
 
-@dataclass(frozen=True)
-class CountPrediction:
-    """Alpha-free limit of the scaled eigenvalue count."""
-
-    limit: float
-
-
 def _log_reciprocal(r: float, t: float) -> float:
     arg = (1.0 - r * r) ** 2 * t
     val = -math.log(arg)
@@ -307,7 +298,7 @@ def _log_reciprocal(r: float, t: float) -> float:
     return val
 
 
-def count_prediction(r: float, t1: float, t2: float) -> CountPrediction:
+def count_prediction(r: float, t1: float, t2: float) -> float:
     """Limiting scaled count of eigenvalues in [t1, t2] for the circle.
 
     limit = sqrt(8 pi) r/(1-r^2) [sqrt(ln(1/((1-r^2)^2 t1)))
@@ -322,9 +313,8 @@ def count_prediction(r: float, t1: float, t2: float) -> CountPrediction:
         raise DomainError(f"need 0 < t1 <= t2, got ({t1}, {t2})")
     u1 = _log_reciprocal(r, t1)
     u2 = _log_reciprocal(r, t2)
-    limit = (math.sqrt(8.0 * math.pi) * r / (1.0 - r * r)
-             * (math.sqrt(u1) - math.sqrt(u2)))
-    return CountPrediction(limit=limit)
+    return (math.sqrt(8.0 * math.pi) * r / (1.0 - r * r)
+            * (math.sqrt(u1) - math.sqrt(u2)))
 
 
 def eigen_count(spectrum: SpectrumTruncation, t1: float, t2: float) -> int:
@@ -372,23 +362,6 @@ def schatten_limit(model: CircleSymbolModel, p: float) -> float:
     return (integral / math.sqrt(2.0 * p)) ** (1.0 / p)
 
 
-def eigenvalue_density(model: CircleSymbolModel, s: float) -> float:
-    """Density of the limiting scaled eigenvalue distribution, symbol 1.
-
-    (2 pi r/(1-r^2)) / (sqrt(pi) s) * ln(1/((1-r^2)^2 s))^{-1/2} on
-    (0, (1-r^2)^{-2}); integrating it over an interval and dividing by
-    sqrt(2) recovers the counting limit.
-    """
-    if not model.is_constant_one:
-        raise DomainError("closed-form density is available for the constant symbol")
-    r = model.r
-    if not 0.0 < s < (1.0 - r * r) ** -2:
-        raise DomainError(f"density argument {s} outside (0, {(1.0 - r * r) ** -2})")
-    u = _log_reciprocal(r, s)
-    circumference = 2.0 * math.pi * r / (1.0 - r * r)
-    return circumference / (math.sqrt(math.pi) * s * math.sqrt(u))
-
-
 @dataclass(frozen=True)
 class ScanRow:
     """One alpha row of a convergence scan."""
@@ -416,8 +389,7 @@ def convergence_scan(template: CircleSymbolModel,
         raise DomainError("provide exactly one of phi or interval")
     if interval is not None:
         t1, t2 = float(interval[0]), float(interval[1])
-        prediction = count_prediction(template.r, t1, t2)
-        rhs = prediction.limit
+        rhs = count_prediction(template.r, t1, t2)
     else:
         rhs = szego_rhs(template, phi)
 

@@ -4,8 +4,9 @@ For the radius-r circle with a nonnegative symbol the operator acts on the
 monomial basis through explicit one-dimensional integrals: a constant symbol
 gives a diagonal operator with eigenvalues known in closed form, and a
 finite Fourier symbol gives a banded Hermitian matrix.  The module also
-evaluates the cyclic phase function and the composition-trace integral,
-which serve as independent oracles for the spectral formulas.
+evaluates the composition-trace integral, an independent oracle for the
+spectral formulas, and, over batches of point or label tuples, the
+imaginary part of the cyclic phase and the cyclic label product.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from typing import Optional
 
 import numpy as np
 
-from .bergman import _coords
 from .eigen import hermitian_eigenvalues
 from .errors import AccuracyError, DomainError
 from .specfun import log_gamma, normalizing_constant
@@ -31,9 +31,7 @@ __all__ = [
     "explicit_count",
     "matrix_elements",
     "hermitian_eigenvalues",
-    "phase_value",
     "phase_imag_batch",
-    "label_product",
     "label_product_batch",
     "composition_trace_quadrature",
 ]
@@ -365,11 +363,12 @@ def matrix_elements(model: CircleSymbolModel,
                     cutoff: Optional[int] = None) -> np.ndarray:
     """Truncated operator in the monomial basis (unnormalized).
 
-    Entry (j, k) equals c_alpha (1-r^2)^alpha (2 pi r/(1-r^2)) delta_j
-    delta_k r^{j+k} a_hat[j-k]; the conjugate symmetry of the coefficients
-    makes the matrix Hermitian.  A constant symbol gives the diagonal of
-    closed-form eigenvalues times sqrt(2 pi alpha), for every alpha > -1
-    when ``cutoff`` is given.
+    Entry (j, k) equals (alpha+1) (1-r^2)^alpha (2 pi r/(1-r^2)) r^{j+k}
+    a_hat[j-k] / (||z^j|| ||z^k||), where ||z^m||^2 = m! Gamma(alpha+2) /
+    Gamma(m+alpha+2) is the weighted norm of the monomial; the conjugate
+    symmetry of the coefficients makes the matrix Hermitian.  A constant
+    symbol gives the diagonal of closed-form eigenvalues times
+    sqrt(2 pi alpha), for every alpha > -1 when ``cutoff`` is given.
 
     The default cutoff (alpha > 0) is K + last, so the order is K + last + 1:
     K is the bandwidth and ``last`` the last index past the peak of the
@@ -410,60 +409,43 @@ def matrix_elements(model: CircleSymbolModel,
     return out
 
 
-def phase_value(points) -> complex:
-    """Cyclic phase i sum_j Log((1 - <xi_j, xi_j+1>) / (1 - |xi_j|^2)).
-
-    Indices wrap around; the principal branch applies throughout (the
-    argument never meets (-inf, 0] for points inside the ball).  The
-    imaginary part is nonnegative and vanishes only on the diagonal.
-    """
-    pts = [_coords(p) for p in points]
-    if len(pts) < 2:
-        raise DomainError("phase needs at least two points")
-    if any(len(p) != len(pts[0]) for p in pts):
-        raise DomainError("all points must share one dimension")
-    return complex(_phase_batch([pts])[0])
-
-
 def phase_imag_batch(tuples: np.ndarray) -> np.ndarray:
-    """Imaginary part of the phase for a batch of point tuples.
+    """Imaginary part of the cyclic phase i sum_j Log((1 - <xi_j, xi_j+1>) / (1 - |xi_j|^2)).
 
-    ``tuples`` has shape (batch, m, n): m cyclically-linked points of the
-    n-ball per row.  Used by the large property suites.
+    ``tuples`` has shape (batch, m, n): m >= 2 cyclically-linked points of
+    the open n-ball per row, indices wrapping around.  The principal branch
+    applies throughout (the argument never meets (-inf, 0] inside the
+    ball).  Each value is nonnegative and vanishes only on the diagonal.
+    DomainError for another shape, m < 2 or a point outside the open ball.
     """
-    return _phase_batch(tuples).imag
-
-
-def _phase_batch(tuples) -> np.ndarray:
+    z = np.asarray(tuples, dtype=complex)
+    if z.ndim != 3 or z.shape[1] < 2:
+        raise DomainError(f"expected an array of shape (batch, m >= 2, n), got {z.shape}")
     # <xi_j, xi_j+1> and |xi_j|^2 from real and imaginary parts: numpy's
     # complex z * conj(z) can carry an imaginary part of order 1e-18, while
     # these sums make the all-equal tuple give exactly log(1) = 0.
-    z = np.asarray(tuples, dtype=complex)
-    if z.ndim != 3:
-        raise DomainError("expected an array of shape (batch, m, n)")
     zr, zi = z.real, z.imag
     wr, wi = np.roll(zr, -1, axis=1), np.roll(zi, -1, axis=1)
     nsq = np.sum(zr * zr + zi * zi, axis=2)
+    if not np.all(nsq < 1.0):
+        raise DomainError(f"points must lie inside the open unit ball "
+                          f"(largest |xi|^2 = {np.max(nsq)!r})")
     inner = np.sum(zr * wr + zi * wi, axis=2) + 1j * np.sum(zi * wr - zr * wi, axis=2)
-    return 1j * np.sum(np.log((1.0 - inner) / (1.0 - nsq)), axis=1)
-
-
-def label_product(d_values) -> float:
-    """Cyclic product of (1 - d_j d_{j+1}) / (1 - d_j^2) over labels in (0,1).
-
-    Always at least 1, with equality exactly for constant tuples.
-    """
-    d = np.asarray(d_values, dtype=float)
-    if d.size < 2:
-        raise DomainError("label product needs at least two values")
-    if np.any(d <= 0.0) or np.any(d >= 1.0):
-        raise DomainError("labels must lie strictly inside (0, 1)")
-    return float(label_product_batch(d.reshape(1, -1))[0])
+    return np.sum(np.log((1.0 - inner) / (1.0 - nsq)), axis=1).real
 
 
 def label_product_batch(rows: np.ndarray) -> np.ndarray:
-    """Row-wise cyclic label products for an array of shape (batch, m)."""
+    """Row-wise cyclic product of (1 - d_j d_{j+1}) / (1 - d_j^2), shape (batch, m).
+
+    Each row holds m >= 2 labels in (0, 1); the product is at least 1, with
+    equality exactly for constant rows.  DomainError for another shape or a
+    label outside (0, 1).
+    """
     d = np.asarray(rows, dtype=float)
+    if d.ndim != 2 or d.shape[1] < 2:
+        raise DomainError(f"expected an array of shape (batch, m >= 2), got {d.shape}")
+    if not np.all((d > 0.0) & (d < 1.0)):
+        raise DomainError("labels must lie strictly inside (0, 1)")
     return np.prod((1.0 - d * np.roll(d, -1, axis=1)) / (1.0 - d * d), axis=1)
 
 
@@ -510,8 +492,7 @@ def composition_trace_quadrature(model: CircleSymbolModel, m: int) -> float:
         raise DomainError(
             "quadrature path requires alpha <= 200 (integrand peak resolution)")
     r = model.r
-    c_alpha = normalizing_constant(1, model.alpha)
-    pref = (c_alpha * 2.0 * math.pi * r / (1.0 - r * r)) ** m
+    pref = (normalizing_constant(1, model.alpha) * 2.0 * math.pi * r / (1.0 - r * r)) ** m
     prev = None
     n_nodes = 64
     while n_nodes <= COMPOSITION_MAX_NODES:

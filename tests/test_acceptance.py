@@ -95,7 +95,7 @@ def test_criterion_02_table2_reproduction():
         for row, want_n in zip(rows, TABLE2["counts"]):
             check(f, row.count_n == want_n,
                   f"count at alpha={row.alpha:g}: {row.count_n} != {want_n}")
-        limit = count_prediction(TABLE2["r"], TABLE2["t1"], TABLE2["t2"]).limit
+        limit = count_prediction(TABLE2["r"], TABLE2["t1"], TABLE2["t2"])
         check(f, abs(limit - TABLE2["limit"]) <= 5e-4,
               f"limit {limit:.6f} vs {TABLE2['limit']}")
         check(f, elapsed < 10.0, f"runtime {elapsed:.2f} s >= 10 s")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from szegolab import WeightedModel, beta_fn, binomial, log_gamma, normalizing_constant
+from szegolab import WeightedModel, binomial, log_gamma, normalizing_constant
 from szegolab.errors import DomainError
 
 EPS = np.finfo(float).eps
@@ -59,33 +59,6 @@ class TestLogGamma:
         assert isinstance(log_gamma(3.0), float)
 
 
-class TestBeta:
-    def test_known_values(self):
-        assert beta_fn(1.0, 1.0) == pytest.approx(1.0, rel=1e-14)
-        assert beta_fn(2.0, 3.0) == pytest.approx(1.0 / 12.0, rel=1e-13)
-
-    def test_large_argument_asymptote(self):
-        # sqrt(2 pi) x^(x-1/2) y^(y-1/2) / (x+y)^(x+y-1/2) approximates
-        # B(x, y) for large x, y; at (101, 101/3) they agree within 1%.
-        x, y = 101.0, 101.0 / 3.0
-        log_asym = (0.5 * math.log(2.0 * math.pi) + (x - 0.5) * math.log(x)
-                    + (y - 0.5) * math.log(y) - (x + y - 0.5) * math.log(x + y))
-        exact = beta_fn(x, y)
-        assert abs(math.exp(log_asym) / exact - 1.0) < 0.01
-
-    def test_symmetry_bitwise(self):
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            x, y = rng.uniform(0.01, 50.0, size=2)
-            assert beta_fn(x, y) == beta_fn(y, x)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            beta_fn(0.0, 1.0)
-        with pytest.raises(DomainError):
-            beta_fn(1.0, -2.0)
-
-
 class TestBinomial:
     def test_exact_small(self):
         for m in range(0, 63):
@@ -136,24 +109,18 @@ class TestNormalizingConstant:
         with pytest.raises(DomainError, match="overflows"):
             normalizing_constant(3, 1e200)
 
-
-class TestWeightedModel:
-    def test_constant_formula(self):
-        for n in (1, 2, 3):
-            for alpha in (-0.5, 0.0, 1.5, 30.0):
-                model = WeightedModel(n=n, alpha=alpha)
-                direct = math.exp(math.lgamma(alpha + 1 + n) - math.lgamma(alpha + 1)
-                                  - math.lgamma(n + 1))
-                assert model.c_alpha == pytest.approx(direct, rel=1e-12)
-
     def test_large_alpha_growth(self):
-        # c_alpha approaches alpha^n / n!; the 2n/alpha envelope holds for
-        # the dimensions the package computes in (n = 1, 2).
+        # The constant approaches alpha^n / n!; the 2n/alpha envelope holds
+        # for the dimensions the package computes in (n = 1, 2).
         for n in (1, 2):
             for alpha in np.logspace(2, 6, 9):
-                model = WeightedModel(n=n, alpha=float(alpha))
-                ratio = model.c_alpha * math.factorial(n) / alpha ** n
+                ratio = normalizing_constant(n, float(alpha)) * math.factorial(n) / alpha ** n
                 assert abs(ratio - 1.0) <= 2.0 * n / alpha
 
-    def test_kernel_exponent(self):
-        assert WeightedModel(n=2, alpha=1.5).kernel_exponent == 4.5
+
+class TestWeightedModel:
+    def test_validation(self):
+        for n, alpha in ((0, 1.0), (1.5, 1.0), (1, -1.0)):
+            with pytest.raises(DomainError):
+                WeightedModel(n=n, alpha=alpha)
+        assert WeightedModel(n=2, alpha=-0.5).n == 2

@@ -13,7 +13,6 @@ from szegolab import (
     convergence_scan,
     count_prediction,
     eigen_count,
-    eigenvalue_density,
     explicit_eigenvalues,
     make_chart,
     monomial_rhs_circle,
@@ -312,13 +311,13 @@ class TestChartRoute:
 
 class TestCountPrediction:
     def test_reference_limits(self):
-        assert count_prediction(0.5, 16 / 15, 16 / 9).limit == pytest.approx(
+        assert count_prediction(0.5, 16 / 15, 16 / 9) == pytest.approx(
             2.3887, abs=5e-4)
-        assert count_prediction(1 / math.sqrt(2), 0.4, 0.6).limit == pytest.approx(
+        assert count_prediction(1 / math.sqrt(2), 0.4, 0.6) == pytest.approx(
             0.9930, abs=5e-4)
 
     def test_degenerate_interval(self):
-        assert count_prediction(0.5, 1.0, 1.0).limit == 0.0
+        assert count_prediction(0.5, 1.0, 1.0) == 0.0
 
     def test_rejects_endpoint_above_bound(self):
         with pytest.raises(DomainError):
@@ -351,24 +350,28 @@ class TestEigenCount:
             np.sum(spec.eigenvalues >= 16 / 15))
 
 
+def eigenvalue_density(r, s):
+    """Density of the limiting scaled eigenvalue distribution, symbol 1.
+
+    (2 pi r/(1-r^2)) / (sqrt(pi) s) * ln(1/((1-r^2)^2 s))^{-1/2} on
+    (0, (1-r^2)^{-2}).
+    """
+    circumference = 2.0 * math.pi * r / (1.0 - r * r)
+    return circumference / (math.sqrt(math.pi) * s * math.sqrt(-math.log((1.0 - r * r) ** 2 * s)))
+
+
 class TestDensity:
     def test_antiderivative_consistency(self):
         # Integrating the closed-form density over the counting interval
-        # (with its inverse-sqrt endpoint singularity) reproduces the
-        # counting limit; pins the antiderivative convention.
+        # (with its inverse-sqrt endpoint singularity) and dividing by
+        # sqrt(2) reproduces the counting limit; pins the antiderivative
+        # convention.
         for r, t1, t2 in ((0.5, 16 / 15, 16 / 9), (1 / math.sqrt(2), 0.4, 0.6)):
-            model = CircleSymbolModel(r=r, alpha=10.0)
             val, err = integrate.quad(
-                lambda s: eigenvalue_density(model, s), t1,
+                lambda s: eigenvalue_density(r, s), t1,
                 min(t2, (1 - r * r) ** -2 * (1 - 1e-14)), limit=300)
-            want = count_prediction(r, t1, t2).limit
+            want = count_prediction(r, t1, t2)
             assert val / math.sqrt(2.0) == pytest.approx(want, rel=1e-6)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            eigenvalue_density(R_HALF, 2.0)
-        with pytest.raises(DomainError):
-            eigenvalue_density(CircleSymbolModel(r=0.5, alpha=1.0, fourier=(1.0, 0.2)), 1.0)
 
 
 class TestSchatten:

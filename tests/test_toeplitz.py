@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
+from scipy import integrate
 from scipy.special import gammaln
 
 from szegolab import (
-    BallPoint,
     CircleSymbolModel,
     composition_trace_quadrature,
     default_cutoff,
@@ -19,11 +19,9 @@ from szegolab import (
     explicit_count,
     explicit_eigenvalues,
     hermitian_eigenvalues,
-    label_product,
     largest_eigenvalue_index,
     log_gamma,
     matrix_elements,
-    phase_value,
 )
 from szegolab import toeplitz
 from szegolab.specfun import normalizing_constant
@@ -441,6 +439,28 @@ class TestMatrixElements:
         got = hermitian_eigenvalues(mat)
         assert np.max(np.abs(got - want) / want) < 1e-9
 
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 2.0, 10.0])
+    @pytest.mark.parametrize("r", [0.3, 0.7])
+    def test_constant_diagonal_by_radial_quadrature(self, r, alpha):
+        # d_m = (alpha+1) (1-r^2)^alpha (2 pi r/(1-r^2)) r^(2m) / ||z^m||^2,
+        # the weighted norm ||z^m||^2 = (alpha+1) 2 int_0^1 rho^(2m+1)
+        # (1-rho^2)^alpha drho taken by quadrature, (1-rho)^alpha as weight.
+        def norm_sq(m):
+            val, _ = integrate.quad(lambda rho: rho ** (2 * m + 1) * (1.0 + rho) ** alpha,
+                                    0.0, 1.0, weight="alg", wvar=(0.0, alpha),
+                                    epsabs=0.0, epsrel=1e-13)
+            return (alpha + 1.0) * 2.0 * val
+
+        if alpha == 0.0:
+            assert norm_sq(0) == pytest.approx(1.0, rel=1e-14)
+            assert norm_sq(1) == pytest.approx(0.5, rel=1e-14)
+        cut = 20
+        got = np.diag(matrix_elements(CircleSymbolModel(r=r, alpha=alpha), cutoff=cut))
+        for m in range(cut + 1):
+            want = ((alpha + 1.0) * (1.0 - r * r) ** alpha * 2.0 * math.pi * r / (1.0 - r * r)
+                    * r ** (2 * m) / norm_sq(m))
+            assert got[m] == pytest.approx(want, rel=1e-12)
+
     def test_nonnegative_symbol_gives_nonnegative_spectrum(self):
         # a = 1 + cos(2 pi theta) touches zero; the operator stays positive
         # semidefinite up to solver accuracy.
@@ -492,15 +512,15 @@ class TestHermitianEigenvalues:
 
 class TestPhase:
     def test_zero_on_diagonal(self):
-        p = BallPoint.of(0.3 + 0.2j, 0.1)
-        assert phase_value([p, p, p]) == 0.0
+        p = [0.3 + 0.2j, 0.1]
+        assert phase_imag_batch([[p, p, p]])[0] == 0.0
 
     def test_two_point_disc_value(self):
-        got = phase_value([BallPoint.of(0.3), BallPoint.of(0.4)])
-        want_imag = math.log(0.7744 / 0.7644)  # |1-0.12|^2 / ((1-0.09)(1-0.16))
-        assert got.imag == pytest.approx(want_imag, rel=1e-12)
-        assert got.imag == pytest.approx(0.0130, abs=1e-4)
-        assert got.imag > 0
+        got = phase_imag_batch([[[0.3], [0.4]]])[0]
+        want = math.log(0.7744 / 0.7644)  # |1-0.12|^2 / ((1-0.09)(1-0.16))
+        assert got == pytest.approx(want, rel=1e-12)
+        assert got == pytest.approx(0.0130, abs=1e-4)
+        assert got > 0
 
     def test_batch_nonnegative_and_positive_off_diagonal(self):
         rng = np.random.default_rng(51)
@@ -519,29 +539,36 @@ class TestPhase:
     def test_matches_scalar_log_sum(self):
         # The cyclic sum written out with cmath, point by point.
         rng = np.random.default_rng(54)
-        for _ in range(300):
-            z = rng.uniform(-0.5, 0.5, size=(4, 2)) + 1j * rng.uniform(-0.5, 0.5, size=(4, 2))
+        z = rng.uniform(-0.5, 0.5, size=(300, 4, 2)) + 1j * rng.uniform(-0.5, 0.5, size=(300, 4, 2))
+        got = phase_imag_batch(z)
+        for row, value in zip(z, got):
             want = 0j
             for j in range(4):
-                inner = sum(a * b.conjugate() for a, b in zip(z[j], z[(j + 1) % 4]))
-                nsq = sum(abs(a) ** 2 for a in z[j])
+                inner = sum(a * b.conjugate() for a, b in zip(row[j], row[(j + 1) % 4]))
+                nsq = sum(abs(a) ** 2 for a in row[j])
                 want += cmath.log((1.0 - inner) / (1.0 - nsq))
             want *= 1j
-            assert abs(phase_value(z) - want) <= 1e-14 * max(abs(want), 1.0)
+            assert abs(value - want.imag) <= 1e-14 * max(abs(want), 1.0)
 
     def test_input_validation(self):
         with pytest.raises(DomainError):
-            phase_value([BallPoint.of(0.1)])
+            phase_imag_batch([[[0.1]]])
         with pytest.raises(DomainError):
-            phase_value([BallPoint.of(0.1), BallPoint.of(0.1, 0.2)])
+            phase_imag_batch([[0.1, 0.2]])
+
+    def test_rejects_points_outside_ball(self):
+        with pytest.raises(DomainError, match="inside the open unit ball"):
+            phase_imag_batch([[[0.3], [0.4]], [[1.2], [0.1]]])
+        with pytest.raises(DomainError):
+            phase_imag_batch([[[0.6, 0.8], [0.1, 0.0]]])
 
 
 class TestLabelProduct:
     def test_constant_tuple(self):
-        assert label_product([0.37, 0.37, 0.37]) == 1.0
+        assert label_product_batch([[0.37, 0.37, 0.37]])[0] == 1.0
 
     def test_hand_value(self):
-        got = label_product([0.2, 0.8])
+        got = label_product_batch([[0.2, 0.8]])[0]
         assert got == pytest.approx(0.7056 / 0.3456, rel=1e-13)
         assert got > 1
 
@@ -554,9 +581,15 @@ class TestLabelProduct:
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            label_product([0.5])
+            label_product_batch([[0.5]])
         with pytest.raises(DomainError):
-            label_product([0.5, 1.0])
+            label_product_batch([0.5, 0.6])
+
+    def test_rejects_labels_outside_unit_interval(self):
+        # [0.5, 1.0] used to give inf, [1.5, -0.2] a value below the bound 1.
+        for rows in ([[0.5, 1.0]], [[1.5, -0.2]], [[0.2, 0.3], [0.0, 0.5]], [[0.5, np.nan]]):
+            with pytest.raises(DomainError, match="inside \\(0, 1\\)"):
+                label_product_batch(rows)
 
 
 class TestCompositionTrace:

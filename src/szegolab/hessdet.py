@@ -12,13 +12,13 @@ All three must agree; the suite exercises that agreement on seeded data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AccuracyError, DomainError, UnsupportedClassError
 from .geometry import SymplecticClass
-from .specfun import binomial
 from .toeplitz import MAX_MATRIX_ORDER
 
 __all__ = [
@@ -87,7 +87,7 @@ def det_direct(matrix) -> complex:
 def _odd_binomials(m: int) -> list:
     """C(m, 1), C(m, 3), ... as floats; DomainError past float range (m >= 1030)."""
     try:
-        return [float(binomial(m, k)) for k in range(1, m + 1, 2)]
+        return [float(math.comb(m, k)) for k in range(1, m + 1, 2)]
     except OverflowError:
         raise DomainError(f"binomial coefficients C({m}, k) exceed the float range") from None
 

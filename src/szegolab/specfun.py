@@ -1,8 +1,8 @@
-"""Scalar special functions: log-gamma, binomials, weight normalization.
+"""Log-gamma and the weighted-space context ``WeightedModel``.
 
-Everything downstream (eigenvalue formulas, weight constants) is evaluated
-in log space and exponentiated last, because factors like
-(1 - r^2)^(alpha - 1) underflow long before alpha reaches 1e5.
+Everything downstream (the eigenvalue formulas) is evaluated in log space
+and exponentiated last, because factors like (1 - r^2)^(alpha - 1)
+underflow long before alpha reaches 1e5.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from .errors import DomainError
 
 __all__ = [
     "log_gamma",
-    "binomial",
-    "normalizing_constant",
     "WeightedModel",
 ]
 
@@ -82,29 +80,6 @@ def log_gamma(x):
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out)
     return out
-
-
-def binomial(m: int, k: int) -> int:
-    """Binomial coefficient C(m, k), exact integer arithmetic for every m."""
-    if m < 0 or k < 0:
-        raise DomainError(f"binomial requires m, k >= 0, got ({m}, {k})")
-    return math.comb(m, k)
-
-
-def normalizing_constant(n: int, alpha: float) -> float:
-    """Weight normalization Gamma(alpha+1+n) / (n! Gamma(alpha+1)).
-
-    The product prod_{k=1..n} (alpha+k)/k: n = 1 gives alpha + 1 correctly
-    rounded.  Behaves like alpha^n / n!; past the float range, DomainError.
-    """
-    if n < 1 or int(n) != n:
-        raise DomainError(f"dimension n must be a positive integer, got {n}")
-    if not alpha > -1.0:
-        raise DomainError(f"weight parameter must exceed -1, got {alpha}")
-    c = math.prod((alpha + k) / k for k in range(1, int(n) + 1))
-    if not math.isfinite(c):
-        raise DomainError(f"normalizing constant overflows for n={n}, alpha={alpha}")
-    return c
 
 
 @dataclass(frozen=True)

@@ -4,23 +4,24 @@ For the radius-r circle with a nonnegative symbol the operator acts on the
 monomial basis through explicit one-dimensional integrals: a constant symbol
 gives a diagonal operator with eigenvalues known in closed form, and a
 finite Fourier symbol gives a banded Hermitian matrix.  The module also
-evaluates the composition-trace integral, an independent oracle for the
-spectral formulas, and, over batches of point or label tuples, the
-imaginary part of the cyclic phase and the cyclic label product.
+evaluates the composition-trace integral by FFT diagonalisation of its
+circulant kernel, an independent oracle for the spectral formulas, and,
+over batches of point or label tuples, the imaginary part of the cyclic
+phase and the cyclic label product.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .eigen import hermitian_eigenvalues
 from .errors import AccuracyError, DomainError
-from .specfun import log_gamma, normalizing_constant
+from .specfun import log_gamma
 
 __all__ = [
     "CircleSymbolModel",
@@ -43,9 +44,10 @@ _SYMBOL_GRID = 4096
 # ``explicit_eigenvalues``, which holds 8 bytes per term (one array in index
 # order) and evaluates them _CHUNK at a time (about 2 MB of log-gamma
 # temporaries), so 4e6 terms cost about 34 MB; counts do not need the
-# spectrum and have no cap.  MAX_MATRIX_ORDER bounds ``matrix_elements``:
-# a dense complex matrix of order 4096 takes 16 * 4096^2 B = 256 MiB before
-# the eigensolve's workspace.
+# spectrum and have no cap.  It also bounds the walk array of
+# ``composition_trace_quadrature``, which raises AccuracyError there.
+# MAX_MATRIX_ORDER bounds ``matrix_elements``: a dense complex matrix of
+# order 4096 takes 16 * 4096^2 B = 256 MiB before the eigensolve's workspace.
 MAX_SPECTRUM_TERMS = 4_000_000
 MAX_MATRIX_ORDER = 4096
 _CHUNK = 1 << 14
@@ -55,10 +57,8 @@ _ROW_FLOOR = 2.0 ** -106
 # Most probes per bracket and level of the windowed count: brackets up to
 # 257^L indices close in L levels (L = 4 at m* ~ 5e7).
 _MAX_PROBES = 256
-# The composition trace: agreement target of successive node counts, and the
-# node cap per axis.
+# The composition trace: agreement target of successive node counts.
 COMPOSITION_REL_TOL = 1e-7
-COMPOSITION_MAX_NODES = 1024
 
 
 @dataclass(frozen=True)
@@ -100,6 +100,11 @@ class CircleSymbolModel:
     @property
     def is_constant_one(self) -> bool:
         return self.fourier is None
+
+    @property
+    def bandwidth(self) -> int:
+        """K, the highest Fourier index of the symbol (0 for the constant one)."""
+        return 0 if self.fourier is None else len(self.fourier) - 1
 
     def symbol_values(self, theta) -> np.ndarray:
         """Symbol evaluated on an array of angles (period-1 convention)."""
@@ -382,7 +387,7 @@ def matrix_elements(model: CircleSymbolModel,
     below the rounding of the peak eigenvalue in both cases.  Raises
     DomainError, before allocating, above order MAX_MATRIX_ORDER.
     """
-    bandwidth = 0 if model.fourier is None else len(model.fourier) - 1
+    bandwidth = model.bandwidth
     cut = _matrix_cutoff(model, bandwidth) if cutoff is None else int(cutoff)
     if cut < 0:
         raise DomainError(f"cutoff must be nonnegative, got {cutoff}")
@@ -452,61 +457,79 @@ def label_product_batch(rows: np.ndarray) -> np.ndarray:
 def _cyclic_trace(model: CircleSymbolModel, m: int, n_nodes: int) -> float:
     """m-dimensional trapezoid sum of the cyclic integrand, without its prefactor.
 
-    The kernel depends on theta_j - theta_k only, so the n x n kernel matrix
-    is circulant: log and exp run on the n values of its first column, and
-    entry (j, k) is that column at (j - k) mod n (numpy reads a negative
-    j - k from the end, so no modulo is taken).  The column takes offsets
-    wrapped into [-1/2, 1/2), so the angle stays small where the kernel
-    peaks; from angles near 2 pi the factor alpha would magnify the rounding.
+    The sum is trace(W^m), W = diag(s) C / n, with s the symbol at the nodes
+    and C the circulant kernel matrix; its first column takes the offsets
+    wrapped into [-1/2, 1/2), as alpha would magnify rounding near 2 pi.  The
+    DFT makes C the diagonal Lambda = fft(column) and diag(s) the banded
+    circulant S[k, l] = a_hat[l - k], so the sum is trace((S Lambda / n)^m):
+    over each start k, the walks of m steps d in [-K, K] whose offsets add up
+    to a multiple of n, each weighted by a_hat[d] Lambda/n at every index
+    reached.  ``walks`` holds the partial sums per offset (2mK + 1 rows) and
+    start; a constant symbol leaves one row, sum (Lambda/n)^m.
     """
     r, a = model.r, model.alpha
     index = np.arange(n_nodes)
     wrapped = ((index + n_nodes // 2) % n_nodes - n_nodes // 2) / n_nodes
     base = 1.0 - r * r * np.exp(2j * np.pi * wrapped)
     log_edge = a * (math.log(1.0 - r * r) - np.log(base)) - 2.0 * np.log(base)
-    with np.errstate(under="ignore"):
-        column = np.exp(log_edge)
-    edge = column[index[:, None] - index]
-    weighted = (model.symbol_values(index / n_nodes)[:, None] * edge) / n_nodes
-    # trace(W^m) = sum_jk (W^(m-1))_jk W_kj: one dense product fewer than W^m.
-    prod = weighted
-    for _ in range(m - 2):
-        prod = prod @ weighted
-    return float(np.sum(prod * weighted.T).real)
+    band = model.bandwidth
+    offsets = np.arange(-m * band, m * band + 1)
+    # Overflow at a large m reaches the caller as a non-finite value.
+    with np.errstate(all="ignore"):
+        lam = np.fft.fft(np.exp(log_edge)) / n_nodes
+        # Row j is lam[(k + offsets[j]) mod n] over the starts k, as a view.
+        at_offset = sliding_window_view(
+            np.take(lam, np.arange(offsets[0], n_nodes + offsets[-1]), mode="wrap"), n_nodes)
+        walks = np.zeros((offsets.size, n_nodes), dtype=complex)
+        walks[m * band] = 1.0
+        for _ in range(m):
+            step = np.zeros_like(walks)
+            for d in range(-band, band + 1):
+                lo, hi = max(d, 0), offsets.size + min(d, 0)
+                step[lo:hi] += model.fourier_coefficient(d) * walks[lo - d:hi - d]
+            walks = step * at_offset
+    return float(walks[offsets % n_nodes == 0].sum().real)
 
 
 def composition_trace_quadrature(model: CircleSymbolModel, m: int) -> float:
     """Unnormalized trace of the m-fold composition by periodic quadrature.
 
-    Evaluates the m-dimensional trapezoid sum of the exact cyclic integrand
-    over the circle (spectrally accurate for this smooth periodic function),
-    doubling the per-axis node count until two successive values agree to
-    ``COMPOSITION_REL_TOL`` (capped at ``COMPOSITION_MAX_NODES``).  The
-    tensor sum is contracted as a matrix trace, which is the identical sum
-    in a fixed order; the kernel matrix is circulant, so each doubling
-    evaluates log and exp on n values, not n^2.
+    The m-dimensional trapezoid sum of the exact cyclic integrand over the
+    circle (spectrally accurate for this smooth periodic function), with the
+    per-axis node count doubled from 64 until two successive values agree to
+    ``COMPOSITION_REL_TOL``.  The sum is the trace of the m-th power of the
+    circulant kernel matrix, and the DFT diagonalises that matrix exactly, so
+    ``_cyclic_trace`` returns the same sum, up to rounding, from one FFT and
+    O(m^2 K^2 n) work.  Its eigenvalues are the spectrum folded modulo n, so
+    the sum converges once n exceeds the window of significant eigenvalues,
+    not the peak index: at r = 1/2, alpha = 1e5 (peak 33,333) at n = 4096.
+    The one cap is MAX_SPECTRUM_TERMS on the n (2mK + 1) walk entries (peak
+    256 MB under tracemalloc at r = 0.999, alpha = 1e5, mostly the column's
+    temporaries at n = 2^21): a node count above it raises AccuracyError.
+    DomainError for m not an integer >= 2, alpha <= 0, or a value past the
+    float range.
     """
-    if m not in (2, 3):
-        raise DomainError(f"composition trace supports m in {{2, 3}}, got {m}")
-    if model.alpha > 200.0:
-        raise DomainError(
-            "quadrature path requires alpha <= 200 (integrand peak resolution)")
+    if m < 2 or int(m) != m:
+        raise DomainError(f"composition length must be an integer >= 2, got {m}")
+    if not model.alpha > 0.0:
+        raise DomainError("composition trace requires alpha > 0")
     r = model.r
-    pref = (normalizing_constant(1, model.alpha) * 2.0 * math.pi * r / (1.0 - r * r)) ** m
-    prev = None
-    n_nodes = 64
-    while n_nodes <= COMPOSITION_MAX_NODES:
+    rows = 2 * m * model.bandwidth + 1
+    try:
+        pref = ((model.alpha + 1.0) * 2.0 * math.pi * r / (1.0 - r * r)) ** m
+    except OverflowError:
+        pref = math.inf
+    prev, gap, n_nodes = None, math.inf, 64
+    while n_nodes * rows <= MAX_SPECTRUM_TERMS:
         val = pref * _cyclic_trace(model, m, n_nodes)
-        if prev is not None and abs(val - prev) <= COMPOSITION_REL_TOL * abs(val):
-            return val
-        prev = val
-        n_nodes *= 2
-    last_gap = abs(val - prev) / abs(val)
-    if last_gap <= 1e-6:
-        warnings.warn(
-            f"composition trace reached the {COMPOSITION_MAX_NODES}-node cap with relative "
-            f"gap {last_gap:.2e}; returning the finest value")
-        return val
+        if not math.isfinite(val):
+            raise DomainError(f"composition trace of length {m} exceeds the float range")
+        if prev is not None:
+            if abs(val - prev) <= COMPOSITION_REL_TOL * abs(val):
+                return val
+            gap = abs(val - prev) / abs(val)
+        prev, n_nodes = val, 2 * n_nodes
     raise AccuracyError(
-        f"composition trace did not converge: cap {COMPOSITION_MAX_NODES} nodes/axis, "
-        f"last relative gap {last_gap:.2e}, target {COMPOSITION_REL_TOL:g}")
+        f"composition trace did not converge: {n_nodes} nodes/axis need {n_nodes * rows} "
+        f"walk entries, above the cap of {MAX_SPECTRUM_TERMS}; last relative gap "
+        f"{gap:.2e}, target {COMPOSITION_REL_TOL:g}")

@@ -164,9 +164,9 @@ def test_criterion_04_trace_asymptotics_convergence():
 
 def test_criterion_05_composition_trace_oracle():
     with criterion(5, "composition-trace quadrature vs eigenvalue sums "
-                      "(m=2 at 1e-6, m=3 at 1e-5), under 60 s") as f:
+                      "(m=2, 4, 6 at 1e-6, m=3 at 1e-5), under 60 s") as f:
         start = time.monotonic()
-        cases = [(2, 50.0, 1e-6), (3, 30.0, 1e-5)]
+        cases = [(2, 50.0, 1e-6), (3, 30.0, 1e-5), (4, 1e4, 1e-6), (6, 1e5, 1e-6)]
         for m, alpha, tol in cases:
             model = CircleSymbolModel(r=0.5, alpha=alpha)
             quad = composition_trace_quadrature(model, m)

@@ -1,3 +1,4 @@
+import time
 from pathlib import Path
 
 import pytest
@@ -174,6 +175,18 @@ class TestChecks:
     def test_trace_compare_accuracy_exit(self, capsys):
         assert run(["trace-compare", "--m", "2", "--alpha", "50", "--r", "0.5",
                     "--tol", "1e-20"]) == cli.EXIT_ACCURACY
+
+    def test_trace_compare_any_length_and_weight(self, capsys):
+        assert run(["trace-compare", "--m", "1"]) == 2
+        assert "integer >= 2" in capsys.readouterr().err
+        assert run(["trace-compare", "--alpha", "1e4", "--m", "5"]) == 0
+
+    def test_trace_compare_refuses_oversized_spectrum_first(self, capsys):
+        # The eigenvalue side is over its cap; it fails before any doubling.
+        start = time.monotonic()
+        assert run(["trace-compare", "--r", "0.999", "--alpha", "1e5"]) == 2
+        assert time.monotonic() - start < 2.0
+        assert "above the cap" in capsys.readouterr().err
 
 
 class TestConfig:

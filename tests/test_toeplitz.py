@@ -24,7 +24,6 @@ from szegolab import (
     matrix_elements,
 )
 from szegolab import toeplitz
-from szegolab.specfun import normalizing_constant
 from szegolab.toeplitz import (
     MAX_MATRIX_ORDER,
     MAX_SPECTRUM_TERMS,
@@ -32,7 +31,7 @@ from szegolab.toeplitz import (
     label_product_batch,
     phase_imag_batch,
 )
-from szegolab.errors import ContractViolation, DomainError
+from szegolab.errors import AccuracyError, ContractViolation, DomainError
 
 PROPERTY = settings(max_examples=40, deadline=None, database=None)
 
@@ -592,6 +591,22 @@ class TestLabelProduct:
                 label_product_batch(rows)
 
 
+def dense_cyclic_sum(model, m, n_nodes):
+    """The trapezoid sum as trace(W^m) of the kernel matrix built entry by entry."""
+    r, alpha = model.r, model.alpha
+    theta = np.arange(n_nodes) / n_nodes
+    diff = theta[:, None] - theta[None, :]
+    base = 1.0 - r * r * np.exp(2j * np.pi * diff)
+    log_edge = alpha * (math.log(1.0 - r * r) - np.log(base)) - 2.0 * np.log(base)
+    with np.errstate(under="ignore"):
+        edge = np.exp(log_edge)
+    weighted = (model.symbol_values(theta)[:, None] * edge) / n_nodes
+    prod = weighted
+    for _ in range(m - 1):
+        prod = prod @ weighted
+    return float(np.trace(prod).real)
+
+
 class TestCompositionTrace:
     def test_matches_eigenvalue_sum_m2(self):
         model = CircleSymbolModel(r=0.5, alpha=20.0)
@@ -610,35 +625,21 @@ class TestCompositionTrace:
         # of the cyclic integrand vs moments of the basis-integral matrix.
         model = CircleSymbolModel(r=0.5, alpha=12.0, fourier=(1.0, 0.3, 0.1j))
         lam = hermitian_eigenvalues(matrix_elements(model, cutoff=90))
-        for m in (2, 3):
+        for m in (2, 3, 4, 5):
             quad = composition_trace_quadrature(model, m)
             assert quad == pytest.approx(float(np.sum(lam ** m)), rel=1e-9)
 
     @pytest.mark.parametrize("fourier", [None, (1.0, 0.3, 0.1j)])
     @pytest.mark.parametrize("r, alpha", [(0.3, 5.0), (0.5, 50.0), (0.7, 200.0)])
-    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("m", [2, 3, 4])
     def test_circulant_kernel_matches_dense_kernel(self, fourier, r, alpha, m):
         # The kernel evaluated entry by entry on theta_j - theta_k, the
         # public result's doubling included, at every node count it visits.
         model = CircleSymbolModel(r=r, alpha=alpha, fourier=fourier)
-
-        def dense_sum(n_nodes):
-            theta = np.arange(n_nodes) / n_nodes
-            diff = theta[:, None] - theta[None, :]
-            base = 1.0 - r * r * np.exp(2j * np.pi * diff)
-            log_edge = alpha * (math.log(1.0 - r * r) - np.log(base)) - 2.0 * np.log(base)
-            with np.errstate(under="ignore"):
-                edge = np.exp(log_edge)
-            weighted = (model.symbol_values(theta)[:, None] * edge) / n_nodes
-            prod = weighted
-            for _ in range(m - 1):
-                prod = prod @ weighted
-            return float(np.trace(prod).real)
-
-        pref = (normalizing_constant(1, alpha) * 2.0 * math.pi * r / (1.0 - r * r)) ** m
+        pref = ((alpha + 1.0) * 2.0 * math.pi * r / (1.0 - r * r)) ** m
         prev, n_nodes = None, 64
         while True:
-            want = dense_sum(n_nodes)
+            want = dense_cyclic_sum(model, m, n_nodes)
             got = toeplitz._cyclic_trace(model, m, n_nodes)
             assert abs(got - want) <= 1e-14 * abs(want)
             if prev is not None and abs(pref * want - prev) <= 1e-7 * abs(pref * want):
@@ -647,6 +648,17 @@ class TestCompositionTrace:
             assert n_nodes <= 1024
         quad = composition_trace_quadrature(model, m)
         assert abs(quad - pref * want) <= 1e-14 * abs(pref * want)
+
+    def test_walks_that_wrap_around_the_nodes(self):
+        # Steps 21 + 21 + 22 = 64 close a walk on 64 nodes at offset 64, not
+        # 0.  With the wide spectrum of r = 0.95, alpha = 1 the dense kernel's
+        # share of such walks is 2e-4 of the sum at m = 3.
+        fourier = (1.0,) + (0.0,) * 20 + (0.05, 0.05)
+        model = CircleSymbolModel(r=0.95, alpha=1.0, fourier=fourier)
+        for m, n_nodes in ((3, 64), (4, 64), (3, 32)):
+            want = dense_cyclic_sum(model, m, n_nodes)
+            got = toeplitz._cyclic_trace(model, m, n_nodes)
+            assert abs(got - want) <= 1e-14 * abs(want), (m, n_nodes)
 
     def test_cyclic_shift_invariance(self):
         # The two-variable tensor sum is invariant under rotating the
@@ -662,9 +674,40 @@ class TestCompositionTrace:
         s2 = float(np.sum(f.T))
         assert abs(s1 - s2) <= 1e-12 * abs(s1)
 
-    def test_rejects_unsupported_parameters(self):
+    def test_rejects_invalid_length_and_weight(self):
         model = CircleSymbolModel(r=0.5, alpha=20.0)
-        with pytest.raises(DomainError):
-            composition_trace_quadrature(model, 4)
-        with pytest.raises(DomainError):
-            composition_trace_quadrature(CircleSymbolModel(r=0.5, alpha=500.0), 2)
+        for m in (0, 1, 2.5):
+            with pytest.raises(DomainError, match="integer >= 2"):
+                composition_trace_quadrature(model, m)
+        for alpha in (0.0, -0.5):
+            with pytest.raises(DomainError, match="alpha > 0"):
+                composition_trace_quadrature(CircleSymbolModel(r=0.5, alpha=alpha), 2)
+
+    def test_node_cap_is_an_accuracy_error(self, monkeypatch):
+        # alpha = 1e4 converges at 2048 nodes; a cap of 512 walk entries
+        # stops the doubling at 512 and refuses the 1024-node step.
+        monkeypatch.setattr(toeplitz, "MAX_SPECTRUM_TERMS", 512)
+        with pytest.raises(AccuracyError,
+                           match=r"1024 nodes/axis .* cap of 512; last relative gap .*target 1e-07"):
+            composition_trace_quadrature(CircleSymbolModel(r=0.5, alpha=1e4), 2)
+
+    def test_overflow_is_a_domain_error(self):
+        for alpha, m in ((1e3, 200), (1e5, 10 ** 4)):
+            with pytest.raises(DomainError, match="float range"):
+                composition_trace_quadrature(CircleSymbolModel(r=0.5, alpha=alpha), m)
+
+    @pytest.mark.parametrize("r", [0.5, 1.0 / math.sqrt(2.0)])
+    @pytest.mark.parametrize("alpha", [1e3, 1e4, 1e5])
+    def test_large_alpha_matches_gammaln_sum(self, r, alpha):
+        # Unnormalized eigenvalues d_k = 2 pi (1-r^2)^(alpha-1) Gamma(alpha+k+2)
+        # / (Gamma(alpha+1) k!) r^(2k+1) from scipy, summed far past the peak
+        # (ratio below 2/3 there); the explicit spectrum is itself off by up
+        # to 4e-9 at alpha = 1e5, hence 1e-8.
+        k = np.arange(3 * largest_eigenvalue_index(r, alpha) + 2000, dtype=float)
+        log_d = (math.log(2.0 * math.pi) + (alpha - 1.0) * math.log1p(-r * r)
+                 + gammaln(alpha + k + 2.0) - gammaln(alpha + 1.0) - gammaln(k + 1.0)
+                 + (2.0 * k + 1.0) * math.log(r))
+        for m in range(2, 7):
+            want = float(np.sum(np.exp(m * log_d)))
+            got = composition_trace_quadrature(CircleSymbolModel(r=r, alpha=alpha), m)
+            assert abs(got - want) <= 1e-8 * want, (m, got, want)

@@ -46,6 +46,7 @@ from .toeplitz import (
     default_cutoff,
     explicit_count,
     explicit_eigenvalues,
+    explicit_trace,
     largest_eigenvalue_index,
     matrix_elements,
 )

@@ -13,6 +13,7 @@ phase and the cyclic label product.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -30,6 +31,7 @@ __all__ = [
     "default_cutoff",
     "explicit_eigenvalues",
     "explicit_count",
+    "explicit_trace",
     "matrix_elements",
     "hermitian_eigenvalues",
     "phase_imag_batch",
@@ -44,7 +46,9 @@ _SYMBOL_GRID = 4096
 # ``explicit_eigenvalues``, which holds 8 bytes per term (one array in index
 # order) and evaluates them _CHUNK at a time (about 2 MB of log-gamma
 # temporaries), so 4e6 terms cost about 34 MB; counts do not need the
-# spectrum and have no cap.  It also bounds the walk array of
+# spectrum and have no cap.  It also bounds the index window of
+# ``explicit_trace``, which holds one chunk at a time, so there it caps the
+# work (about 1.3 s at the cap), not the memory; and the walk array of
 # ``composition_trace_quadrature``, which raises AccuracyError there.
 # MAX_MATRIX_ORDER bounds ``matrix_elements``: a dense complex matrix of
 # order 4096 takes 16 * 4096^2 B = 256 MiB before the eigensolve's workspace.
@@ -57,6 +61,9 @@ _ROW_FLOOR = 2.0 ** -106
 # Most probes per bracket and level of the windowed count: brackets up to
 # 257^L indices close in L levels (L = 4 at m* ~ 5e7).
 _MAX_PROBES = 256
+# The windowed trace: each omitted tail of sum lambda^p is at most _TAIL_TOL
+# of the window's sum.
+_TAIL_TOL = 2.0 ** -53
 # The composition trace: agreement target of successive node counts.
 COMPOSITION_REL_TOL = 1e-7
 
@@ -214,12 +221,15 @@ def default_cutoff(model: CircleSymbolModel) -> int:
         cut = int(cut * 1.25) + 8
 
 
-def _checked_cutoff(model: CircleSymbolModel, cutoff: Optional[int]) -> int:
+def _checked_cutoff(model: CircleSymbolModel, cutoff: Optional[int]) -> Optional[int]:
+    """``cutoff`` as an int (None stays None) once the explicit formula applies."""
     if not model.is_constant_one:
         raise DomainError("explicit eigenvalues exist only for the constant symbol")
     if not model.alpha > 0.0:
         raise DomainError("explicit eigenvalue formula requires alpha > 0")
-    cut = default_cutoff(model) if cutoff is None else int(cutoff)
+    if cutoff is None:
+        return None
+    cut = int(cutoff)
     if cut < 0:
         raise DomainError(f"cutoff must be nonnegative, got {cutoff}")
     return cut
@@ -236,6 +246,8 @@ def explicit_eigenvalues(model: CircleSymbolModel,
     MAX_SPECTRUM_TERMS terms.
     """
     cut = _checked_cutoff(model, cutoff)
+    if cut is None:
+        cut = default_cutoff(model)
     if cut + 1 > MAX_SPECTRUM_TERMS:
         raise DomainError(
             f"explicit spectrum would hold {cut + 1} terms, above the cap of "
@@ -345,9 +357,115 @@ def explicit_count(model: CircleSymbolModel, t1: float, t2: float,
     itself would exceed its cap.
     """
     cut = _checked_cutoff(model, cutoff)
+    if cut is None:
+        cut = default_cutoff(model)
     ts = [t1] if _at_norm_bound(t2, model.norm_bound) else [t1, math.nextafter(t2, math.inf)]
     at_least_t1, *above_t2 = [last - first + 1 for first, last in _window_ends(model, cut, ts)]
     return max(at_least_t1 - sum(above_t2), 0)
+
+
+def _tail_steps(log_end: float, ratio: float, p: float, log_window: float) -> int:
+    """Indices to add past a window end so that the omitted tail of sum lambda^p
+    is at most _TAIL_TOL exp(log_window); 0 when it already is.
+
+    ``ratio`` < 1 bounds every ratio of successive eigenvalues leaving the
+    window there, so the tail is at most lambda_end^p ratio^p / (1 - ratio^p),
+    and k more indices lower that bound by ratio^(p k) at least.
+    """
+    log_ratio = p * math.log(ratio)
+    excess = p * log_end + log_ratio - math.log(-math.expm1(log_ratio)) \
+        - math.log(_TAIL_TOL) - log_window
+    return 0 if excess <= 0.0 else math.ceil(excess / -log_ratio)
+
+
+def explicit_trace(model: CircleSymbolModel, phi,
+                   cutoff: Optional[int] = None) -> float:
+    """Sum of phi over the explicit spectrum, without building it.
+
+    Equals ``sum(phi(explicit_eigenvalues(model, cutoff).eigenvalues))`` with
+    the cutoff taken past every term that counts: the sum runs over one index
+    window [first, last] around the peak m*, evaluated _CHUNK indices per
+    ``log_gamma`` call, so memory stays bounded by the chunk.  With
+    p = ``phi.p_exponent`` and sigma = sqrt(alpha+2) r/(1-r^2) the width of
+    the negative-binomial pmf, the first window reaches
+    sigma sqrt(2 ln(1/tol)/p) past m* on each side, tol = 2^-53, plus a
+    skewness term for the heavier right tail.
+
+    Tail bound: past ``last`` the ratio q = r^2 (alpha+last+2)/(last+1) of
+    successive eigenvalues is below 1 and decreasing, so the omitted sum of
+    lambda^p is at most lambda_last^p q^p/(1-q^p); below ``first`` the ratio
+    rho = first/(r^2 (alpha+first+1)) of lambda_(first-1) to lambda_first is
+    below 1 and the ratios fall further as m decreases, so that tail is at
+    most lambda_first^p rho^p/(1-rho^p).  A side whose bound exceeds tol times
+    the window's sum of lambda^p grows by the indices the geometric bound
+    says it needs, and only the new indices are evaluated.  The omitted part
+    of sum phi(lambda) is then at most sup |phi(s)/s^p| times 2 tol times that
+    sum, the sup over the omitted eigenvalues, which lie below both end
+    values; the ``PhiFunction`` contract keeps it finite, and for
+    ``power_phi(p)``, p <= 1, it is exactly 1.  Both bounds are formed from
+    log lambda, as the ends lie below 1e-308 for small p.
+
+    ``cutoff`` keeps its meaning, the last index kept: the window stops there
+    and the upper tail, which the caller asked to drop, is not bounded.
+    Raises DomainError, before evaluating, when the window would exceed
+    MAX_SPECTRUM_TERMS indices.
+    """
+    cut = _checked_cutoff(model, cutoff)
+    r, a, p = model.r, model.alpha, phi.p_exponent
+    m_star = largest_eigenvalue_index(r, a)
+    # The Gaussian half-width plus the skewness term of the heavier right
+    # tail: p log(lambda_peak/lambda_(m*+k)) = y^2/2 - g y^3/6 at k = sigma y,
+    # g = (1+r^2)/(sigma (1-r^2)), equals ln(1/tol) at k = sigma y0 +
+    # sigma g y0^2/6 to first order in g, y0 = sqrt(2 ln(1/tol)/p).
+    sigma = math.sqrt(a + 2.0) * r / (1.0 - r * r)
+    log_tol = -math.log(_TAIL_TOL)
+    half = math.ceil(sigma * math.sqrt(2.0 * log_tol / p)
+                     + log_tol * (1.0 + r * r) / (3.0 * p * (1.0 - r * r)))
+    last = m_star + half if cut is None else min(m_star + half, cut)
+    first = max(min(m_star, last) - half, 0)
+    # total = sum phi(lambda); sum lambda^p = exp(p log_top) power, with
+    # log_top the largest log lambda evaluated so far.
+    total, power, log_top = 0.0, 0.0, -math.inf
+
+    def add(lo: int, hi: int) -> tuple:
+        # Adds [lo, hi] to the sums; returns log lambda at lo and at hi.
+        nonlocal total, power, log_top
+        for start in range(lo, hi + 1, _CHUNK):
+            ln = _log_eigenvalues(model, np.arange(start, min(start + _CHUNK, hi + 1)))
+            if start == lo:
+                log_lo = float(ln[0])
+            top = float(ln.max())
+            if top > log_top:
+                power *= math.exp(p * (log_top - top))
+                log_top = top
+            with np.errstate(under="ignore"):
+                total += float(np.sum(phi(np.exp(ln))))
+                power += float(np.sum(np.exp(p * (ln - log_top))))
+        return log_lo, float(ln[-1])
+
+    pending = [(first, last)]   # index ranges of the window not yet evaluated
+    while pending:
+        if last - first + 1 > MAX_SPECTRUM_TERMS:
+            raise DomainError(
+                f"trace window would hold {last - first + 1} terms, above the cap of "
+                f"{MAX_SPECTRUM_TERMS} (r={r:g}, alpha={a:g}, p={p:g})")
+        for lo, hi in pending:
+            log_lo, log_hi = add(lo, hi)
+            if lo == first:
+                log_first = log_lo
+            if hi == last:
+                log_last = log_hi
+        log_window = p * log_top + math.log(power)
+        lo_steps = 0 if first == 0 else min(first, _tail_steps(
+            log_first, first / (r * r * (a + first + 1.0)), p, log_window))
+        hi_steps = 0 if last == cut else _tail_steps(
+            log_last, r * r * (a + last + 2.0) / (last + 1.0), p, log_window)
+        if cut is not None:
+            hi_steps = min(hi_steps, cut - last)
+        pending = [(lo, hi) for lo, hi in ((first - lo_steps, first - 1),
+                                          (last + 1, last + hi_steps)) if lo <= hi]
+        first, last = first - lo_steps, last + hi_steps
+    return total
 
 
 def _matrix_cutoff(model: CircleSymbolModel, bandwidth: int) -> int:
@@ -507,16 +625,32 @@ def composition_trace_quadrature(model: CircleSymbolModel, m: int) -> float:
     256 MB under tracemalloc at r = 0.999, alpha = 1e5, mostly the column's
     temporaries at n = 2^21): a node count above it raises AccuracyError.
     DomainError for m not an integer >= 2, alpha <= 0, or a value past the
-    float range.
+    float range, the last at once when a bound on the trace lies above the
+    largest float or below the smallest normal one, so a huge m costs no
+    walks.
     """
     if m < 2 or int(m) != m:
         raise DomainError(f"composition length must be an integer >= 2, got {m}")
     if not model.alpha > 0.0:
         raise DomainError("composition trace requires alpha > 0")
-    r = model.r
+    r, a = model.r, model.alpha
+    # a0 d_peak is the largest diagonal entry and sup a d_peak bounds the
+    # norm, so the trace lies between (a0 d_peak)^m and
+    # a0 sum(d) (sup a d_peak)^(m-1), sum(d) = 2 pi (alpha+1) r (1-r^2)^-3.
+    # a0 = 0 only for the zero symbol, whose trace is 0.
+    a0 = model.fourier_coefficient(0).real
+    if a0 > 0.0:
+        log_peak = float(_log_diagonal(
+            model, [largest_eigenvalue_index(r, a)], math.log(2.0 * math.pi))[0])
+        log_sup = math.log(model.norm_bound) + 2.0 * math.log(1.0 - r * r)
+        if m * (math.log(a0) + log_peak) > math.log(sys.float_info.max):
+            raise DomainError(f"composition trace of length {m} exceeds the float range")
+        if (math.log(a0 * 2.0 * math.pi * (a + 1.0) * r) - 3.0 * math.log(1.0 - r * r)
+                + (m - 1) * (log_sup + log_peak) < math.log(sys.float_info.min)):
+            raise DomainError(f"composition trace of length {m} is below the float range")
     rows = 2 * m * model.bandwidth + 1
     try:
-        pref = ((model.alpha + 1.0) * 2.0 * math.pi * r / (1.0 - r * r)) ** m
+        pref = ((a + 1.0) * 2.0 * math.pi * r / (1.0 - r * r)) ** m
     except OverflowError:
         pref = math.inf
     prev, gap, n_nodes = None, math.inf, 64

@@ -48,6 +48,14 @@ def test_first_task_passes_oracle(bench, name):
     assert oracles.CHECKS[name](task, digest(run(task))) == []
 
 
+def test_fault_task_passes_oracle(bench):
+    # The small-p trace task the benchmark keeps as a known fault: its
+    # windowed traces now pass the oracle unchanged.
+    workloads, oracles, _ = bench
+    task = dict(workloads.FAULT_TASK)
+    assert oracles.check_trace(task, workloads.run_scan(task)) == []
+
+
 def test_traced_tasks_give_every_per_layer_metric(bench):
     workloads, _, tracer = bench
     per_layer = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]

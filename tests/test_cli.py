@@ -1,7 +1,10 @@
+import math
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from szegolab import cli
 
@@ -115,13 +118,46 @@ class TestScan:
         assert "finite" in capsys.readouterr().err
 
     def test_near_unit_radius(self, capsys):
-        # m* ~ 5e7: the count is windowed, the trace would need the whole
-        # spectrum and is refused before allocating it.
+        # m* ~ 5e7: the count is windowed, and so is the trace.  The pow:1
+        # window (about 2.7e6 indices) fits under the cap and matches the
+        # closed form sum lambda = 2 pi (alpha+1) r (1-r^2)^-3 / sqrt(2 pi
+        # alpha) to the explicit spectrum's own error there; the pow:0.05
+        # window (about 1.3e7) is refused before it is evaluated.
         assert run(["scan", "--r", "0.999", "--alpha", "1e5", "--t1", "1e4",
                     "--t2", "2e5", "--format", "csv"]) == 0
         assert int(capsys.readouterr().out.splitlines()[1].split(",")[1]) > 5e5
-        assert run(["scan", "--r", "0.999", "--alpha", "1e5", "--phi", "pow:1"]) == 2
+        assert run(["scan", "--r", "0.999", "--alpha", "1e5", "--phi", "pow:1",
+                    "--format", "csv"]) == 0
+        lhs = float(capsys.readouterr().out.splitlines()[1].split(",")[1])
+        r, alpha = 0.999, 1e5
+        want = (math.sqrt(math.pi / alpha) * 2.0 * math.pi * (alpha + 1.0) * r
+                * (1.0 - r * r) ** -3 / math.sqrt(2.0 * math.pi * alpha))
+        assert lhs == pytest.approx(want, rel=1e-7, abs=0.0)
+        assert run(["scan", "--r", "0.999", "--alpha", "1e5", "--phi", "pow:0.05"]) == 2
         assert "cap" in capsys.readouterr().err
+
+    def test_small_power_trace_is_not_truncated(self, capsys):
+        # The small-p weights of the benchmark's trace workload, alpha = 1e2
+        # to 1e5 in half decades: past the cutoff where lambda falls below
+        # 1e-14 of its peak, the tail of lambda^0.05 is still 5.4e-4 of the
+        # sum at alpha = 1e4.  Reference: a scipy gammaln sum over indices
+        # far past where lambda^0.05 falls below 1e-20 of its peak.
+        r, alphas = 0.75, [10.0 ** (2.0 + 0.5 * k) for k in range(7)]
+        assert run(["scan", "--r", str(r), "--alpha", ",".join(map(repr, alphas)),
+                    "--phi", "pow:0.05", "--format", "csv"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        for alpha, row in zip(alphas, rows, strict=True):
+            m_star = int((alpha + 1.0) * r * r / (1.0 - r * r))
+            sigma = math.sqrt(alpha + 2.0) * r / (1.0 - r * r)
+            m = np.arange(max(0, m_star - int(60 * sigma) - 100), m_star + int(80 * sigma) + 8000,
+                          dtype=float)
+            log_lam = (0.5 * math.log(2.0 * math.pi / alpha) + (alpha - 1.0) * math.log1p(-r * r)
+                       + gammaln(alpha + m + 2.0) - gammaln(alpha + 1.0) - gammaln(m + 1.0)
+                       + (2.0 * m + 1.0) * math.log(r))
+            floor = log_lam.max() - 20.0 / 0.05 * math.log(10.0)
+            assert (m[0] == 0 or log_lam[0] < floor) and log_lam[-1] < floor
+            want = math.sqrt(math.pi / alpha) * float(np.sum(np.exp(0.05 * log_lam)))
+            assert float(row.split(",")[1]) == pytest.approx(want, rel=1e-10, abs=0.0), alpha
 
     def test_poly_phi_spec(self, capsys):
         assert run(["scan", "--r", "0.5", "--alpha", "1000",
@@ -180,6 +216,12 @@ class TestChecks:
         assert run(["trace-compare", "--m", "1"]) == 2
         assert "integer >= 2" in capsys.readouterr().err
         assert run(["trace-compare", "--alpha", "1e4", "--m", "5"]) == 0
+
+    def test_trace_compare_eigenvalue_sum_overflow(self, capsys):
+        # sum lambda^200 overflows at alpha = 1e3: the eigenvalue side
+        # refuses it itself, with no numpy warning on the way.
+        assert run(["trace-compare", "--m", "200", "--alpha", "1e3"]) == 2
+        assert "eigenvalue sum of power 200 exceeds the float range" in capsys.readouterr().err
 
     def test_trace_compare_refuses_oversized_spectrum_first(self, capsys):
         # The eigenvalue side is over its cap; it fails before any doubling.

@@ -14,14 +14,18 @@ from scipy.special import gammaln
 from szegolab import (
     CircleSymbolModel,
     composition_trace_quadrature,
+    convergence_scan,
     default_cutoff,
     eigen_count,
     explicit_count,
     explicit_eigenvalues,
+    explicit_trace,
     hermitian_eigenvalues,
     largest_eigenvalue_index,
     log_gamma,
     matrix_elements,
+    poly_phi,
+    power_phi,
 )
 from szegolab import toeplitz
 from szegolab.toeplitz import (
@@ -273,6 +277,110 @@ class TestExplicitCount:
             explicit_count(CircleSymbolModel(r=0.5, alpha=5.0, fourier=(1.0, 0.2)), 0.1, 1.0)
         with pytest.raises(DomainError):
             explicit_count(CircleSymbolModel(r=0.5, alpha=5.0), 0.1, 1.0, cutoff=-1)
+
+
+def _spectrum_sum(model, phi, cutoff):
+    with np.errstate(under="ignore"):
+        return float(np.sum(phi(explicit_eigenvalues(model, cutoff=cutoff).eigenvalues)))
+
+
+def _record_indices(monkeypatch):
+    # Each log_gamma call of the explicit spectrum takes (alpha+m+2, m+1,
+    # alpha+1); the list collects the indices m of every call.
+    calls = []
+
+    def counted(x):
+        n = (len(x) - 1) // 2
+        calls.append(np.asarray(x[n:2 * n]) - 1.0)
+        return log_gamma(x)
+
+    monkeypatch.setattr(toeplitz, "log_gamma", counted)
+    return calls
+
+
+class TestExplicitTrace:
+    # Hypothesis favours small floats, so the wide windows (small p, r near
+    # 1, large alpha) and the skewed spectra of small alpha are pinned.
+    @PROPERTY
+    @example(r=0.75, log_alpha=4.0, p=0.05)
+    @example(r=0.95, log_alpha=5.0, p=0.05)
+    @example(r=0.95, log_alpha=0.0, p=0.05)
+    @example(r=0.05, log_alpha=5.0, p=None)
+    @given(r=st.floats(0.05, 0.95), log_alpha=st.floats(0.0, 5.0),
+           p=st.one_of(st.floats(0.05, 3.0), st.none()))
+    def test_matches_full_spectrum_sum(self, r, log_alpha, p):
+        # The full sum runs to a cutoff far past the window: 50 widths of
+        # lambda^p beyond the peak, plus the geometric tail of ratio r^2.
+        model = CircleSymbolModel(r=r, alpha=10.0 ** log_alpha)
+        phi = poly_phi([0.5, 0.2, 1.0]) if p is None else power_phi(p)
+        q = phi.p_exponent
+        sigma = math.sqrt(model.alpha + 2.0) * r / (1.0 - r * r)
+        cutoff = (largest_eigenvalue_index(r, model.alpha)
+                  + math.ceil(50.0 * sigma / math.sqrt(q) + 400.0 / (q * (1.0 - r * r))))
+        want = _spectrum_sum(model, phi, cutoff)
+        assert abs(explicit_trace(model, phi) - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("r, alpha", [(0.5, 200.0), (0.75, 1e4), (0.3, 2.0)])
+    def test_cutoff_truncates_as_the_spectrum(self, r, alpha):
+        model = CircleSymbolModel(r=r, alpha=alpha)
+        m_star = largest_eigenvalue_index(r, alpha)
+        for phi in (power_phi(0.05), power_phi(2.0), poly_phi([1.0, 0.5])):
+            for cutoff in (0, 3, m_star // 2, m_star, m_star + 40, default_cutoff(model)):
+                want = _spectrum_sum(model, phi, cutoff)
+                got = explicit_trace(model, phi, cutoff=cutoff)
+                assert abs(got - want) <= 1e-13 * want, (phi, cutoff)
+
+    def test_one_log_gamma_call_per_row_under_a_chunk(self, monkeypatch):
+        # The pow:1 windows (about 160 to 1.2e3 indices) take one call a
+        # row; the pow:0.05 window at alpha = 1e5 (about 1.7e4) takes two.
+        calls = _record_indices(monkeypatch)
+        template = CircleSymbolModel(r=0.5, alpha=1.0)
+        rows = convergence_scan(template, [1e2, 1e3, 1e4], phi=power_phi(1.0))
+        assert len(calls) == len(rows)
+        assert all(c.size < toeplitz._CHUNK for c in calls)
+        calls.clear()
+        explicit_trace(CircleSymbolModel(r=0.5, alpha=1e5), power_phi(0.05))
+        assert [c.size for c in calls][0] == toeplitz._CHUNK and len(calls) == 2
+
+    @pytest.mark.parametrize("shift", [-0.5, 0.5])
+    def test_extension_evaluates_only_new_indices(self, monkeypatch, shift):
+        # The first window is moved half its width off the peak, so one side
+        # must grow: every index is evaluated once, the evaluated set stays
+        # one interval, and the sum is the centred window's.
+        model = CircleSymbolModel(r=0.6, alpha=3e3)
+        phi = power_phi(0.3)
+        want = explicit_trace(model, phi)
+        m_star = largest_eigenvalue_index(model.r, model.alpha)
+        sigma = math.sqrt(model.alpha + 2.0) * model.r / (1.0 - model.r ** 2)
+        moved = m_star + int(shift * 8.57 * sigma / math.sqrt(phi.p_exponent))
+        monkeypatch.setattr(toeplitz, "largest_eigenvalue_index", lambda r, a: moved)
+        calls = _record_indices(monkeypatch)
+        got = explicit_trace(model, phi)
+        seen = np.sort(np.concatenate(calls))
+        assert len(calls) > 1
+        assert np.array_equal(seen, np.arange(seen[0], seen[-1] + 1))
+        assert abs(got - want) <= 1e-15 * want
+
+    def test_window_above_the_cap_is_refused(self, monkeypatch):
+        # r = 0.999, alpha = 1e5: the pow:1 window (about 2.7e6 indices)
+        # fits under the cap, the pow:0.05 one (about 1.3e7) does not and is
+        # refused before any log_gamma call.
+        calls = _record_indices(monkeypatch)
+        with pytest.raises(DomainError, match="cap"):
+            explicit_trace(CircleSymbolModel(r=0.999, alpha=1e5), power_phi(0.05))
+        assert calls == []
+        monkeypatch.setattr(toeplitz, "MAX_SPECTRUM_TERMS", 1000)
+        with pytest.raises(DomainError, match="cap of 1000"):
+            explicit_trace(CircleSymbolModel(r=0.5, alpha=1e4), power_phi(1.0))
+
+    def test_rejects_what_the_spectrum_rejects(self):
+        phi = power_phi(1.0)
+        with pytest.raises(DomainError, match="constant symbol"):
+            explicit_trace(CircleSymbolModel(r=0.5, alpha=5.0, fourier=(1.0, 0.2)), phi)
+        with pytest.raises(DomainError, match="alpha > 0"):
+            explicit_trace(CircleSymbolModel(r=0.5, alpha=0.0), phi)
+        with pytest.raises(DomainError, match="nonnegative"):
+            explicit_trace(CircleSymbolModel(r=0.5, alpha=5.0), phi, cutoff=-1)
 
 
 class TestMatrixElements:
@@ -695,6 +803,22 @@ class TestCompositionTrace:
         for alpha, m in ((1e3, 200), (1e5, 10 ** 4)):
             with pytest.raises(DomainError, match="float range"):
                 composition_trace_quadrature(CircleSymbolModel(r=0.5, alpha=alpha), m)
+
+    def test_out_of_range_length_refused_before_the_walks(self, monkeypatch):
+        # (a0 d_peak)^m overflows, or a0 sum(d) (sup a d_peak)^(m-1)
+        # underflows: refused without a single walk, whatever m.
+        def no_walks(*args):
+            raise AssertionError("the walks ran")
+
+        monkeypatch.setattr(toeplitz, "_cyclic_trace", no_walks)
+        small = CircleSymbolModel(r=0.01, alpha=1.0)
+        for model, m, what in ((small, 10 ** 5, "below"), (small, 10 ** 9, "below"),
+                               (CircleSymbolModel(r=0.5, alpha=1e3), 200, "exceeds"),
+                               (CircleSymbolModel(r=0.5, alpha=1e5), 10 ** 9, "exceeds"),
+                               (CircleSymbolModel(r=0.5, alpha=50.0, fourier=(1.0, 0.3)),
+                                10 ** 6, "exceeds")):
+            with pytest.raises(DomainError, match=f"{what} the float range"):
+                composition_trace_quadrature(model, m)
 
     @pytest.mark.parametrize("r", [0.5, 1.0 / math.sqrt(2.0)])
     @pytest.mark.parametrize("alpha", [1e3, 1e4, 1e5])

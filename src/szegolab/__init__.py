@@ -15,7 +15,7 @@ from .errors import (
     SzegolabError,
     UnsupportedClassError,
 )
-from .specfun import WeightedModel, log_gamma
+from .specfun import WeightedModel
 from .eigen import hermitian_eigenvalues
 from .geometry import (
     CHART_NAMES,

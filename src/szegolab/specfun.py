@@ -1,85 +1,14 @@
-"""Log-gamma and the weighted-space context ``WeightedModel``.
-
-Everything downstream (the eigenvalue formulas) is evaluated in log space
-and exponentiated last, because factors like (1 - r^2)^(alpha - 1)
-underflow long before alpha reaches 1e5.
-"""
+"""The weighted-space context ``WeightedModel``."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError
 
 __all__ = [
-    "log_gamma",
     "WeightedModel",
 ]
-
-# Lanczos approximation with g = 607/128, N = 15.  Coefficients are the
-# standard double-precision set computed by Pugh ("An analysis of the Lanczos
-# gamma approximation", 2004) and tabulated in Boost.Math / GSL; they give
-# better than 1e-14 relative accuracy for Re(x) > 0.
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_C = np.array([
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-])
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def _lanczos_main(x: np.ndarray) -> np.ndarray:
-    # Valid for x >= 0.5; callers route smaller arguments through reflection.
-    acc = np.full_like(x, _LANCZOS_C[0])
-    for k in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[k] / (x + (k - 1))
-    t = x + (_LANCZOS_G - 0.5)
-    return _HALF_LOG_TWO_PI + (x - 0.5) * np.log(t) - t + np.log(acc)
-
-
-def log_gamma(x):
-    """Natural log of the Gamma function for real positive arguments.
-
-    Accepts a scalar or ndarray.  Relative accuracy is better than 1e-13
-    across [1e-3, 1e7].  Arguments below 0.5 go through the reflection
-    formula ln Gamma(x) = ln pi - ln sin(pi x) - ln Gamma(1 - x).
-
-    The Lanczos sum stays because numpy has no vectorized lgamma: on the
-    36,464 arguments of an alpha = 1e5 spectrum it takes 4.0 ms, against
-    7.2 ms for per-element ``math.lgamma`` (2-core Xeon, numpy 2.4).
-
-    Raises DomainError for non-finite input or x <= 0.
-    """
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise DomainError(f"log_gamma requires finite x > 0, got {x!r}")
-    out = np.empty_like(arr)
-    small = arr < 0.5
-    if np.any(~small):
-        out[~small] = _lanczos_main(arr[~small])
-    if np.any(small):
-        xs = arr[small]
-        out[small] = (math.log(math.pi) - np.log(np.sin(math.pi * xs))
-                      - _lanczos_main(1.0 - xs))
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return out
 
 
 @dataclass(frozen=True)

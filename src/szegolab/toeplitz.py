@@ -22,7 +22,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .eigen import hermitian_eigenvalues
 from .errors import AccuracyError, DomainError
-from .specfun import log_gamma
 
 __all__ = [
     "CircleSymbolModel",
@@ -44,17 +43,19 @@ _SYMBOL_GRID = 4096
 # Size caps, checked before anything of that size is allocated; a request
 # beyond one raises DomainError (CLI exit 2).  MAX_SPECTRUM_TERMS bounds
 # ``explicit_eigenvalues``, which holds 8 bytes per term (one array in index
-# order) and evaluates them _CHUNK at a time (about 2 MB of log-gamma
-# temporaries), so 4e6 terms cost about 34 MB; counts do not need the
-# spectrum and have no cap.  It also bounds the index window of
-# ``explicit_trace``, which holds one chunk at a time, so there it caps the
-# work (about 1.3 s at the cap), not the memory; and the walk array of
-# ``composition_trace_quadrature``, which raises AccuracyError there.
+# order) and evaluates them _CHUNK at a time (about 0.6 MB of temporaries),
+# so 4e6 terms cost about 33 MB; counts do not need the spectrum and have no
+# cap.  It also bounds the index window of ``explicit_trace``, which holds
+# one chunk at a time, so there it caps the work (about 0.4 s at the cap),
+# not the memory; and the walk array of ``composition_trace_quadrature``,
+# which raises AccuracyError there.  _CHUNK = 8192 was the fastest of 4096
+# to 32768 on alpha = 1e5 trace windows of 1.7e4 to 5.3e4 indices; larger
+# chunks win only on windows of millions, by about 10%.
 # MAX_MATRIX_ORDER bounds ``matrix_elements``: a dense complex matrix of
 # order 4096 takes 16 * 4096^2 B = 256 MiB before the eigensolve's workspace.
 MAX_SPECTRUM_TERMS = 4_000_000
 MAX_MATRIX_ORDER = 4096
-_CHUNK = 1 << 14
+_CHUNK = 1 << 13
 # The default matrix drops the rows past the peak whose constant-symbol
 # diagonal is below u^2 of the peak, u = 2^-53 the unit roundoff.
 _ROW_FLOOR = 2.0 ** -106
@@ -172,21 +173,80 @@ def largest_eigenvalue_index(r: float, alpha: float) -> int:
     return int(math.floor((alpha + 1.0) * r * r / (1.0 - r * r) + 1e-9))
 
 
+def _stirlerr_lgamma(x: float) -> float:
+    # log Gamma(x+1) - log of its Stirling approximation, for x <= 15.
+    return math.lgamma(x + 1.0) - (x + 0.5) * math.log(x) + x - 0.5 * math.log(2.0 * math.pi)
+
+
+def _stirlerr(x):
+    """log Gamma(x+1) - (x+1/2) log x + x - log sqrt(2 pi) for x > 15.
+
+    The first five terms of the Stirling series; the next one is below
+    2.2e-16 at x = 15.
+    """
+    y = 1.0 / (x * x)
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - y / 1188) * y) * y) * y) / x
+
+
+# _stirlerr at the integers 0..15, index 0 unused.
+_STIRLERR_SMALL = np.array([0.0] + [_stirlerr_lgamma(k) for k in range(1, 16)])
+
+
+def _bd0(x, diff):
+    """Deviance x log(x/M) + M - x at M = x + diff, as x (t - log1p(t)), t = diff/x.
+
+    The textbook form cancels terms of size x; this one loses only about
+    u |diff|, u the unit roundoff.
+    """
+    t = diff / x
+    return x * (t - np.log1p(t))
+
+
 def _log_diagonal(model: CircleSymbolModel, m, log_scale: float) -> np.ndarray:
     """log_scale + log(d_m / (2 pi)) at the basis indices ``m``, alpha > -1.
 
     d_m = 2 pi (1-r^2)^(alpha-1) Gamma(alpha+m+2) / (Gamma(alpha+1) m!) r^(2m+1)
-    is the constant-symbol diagonal.  One ``log_gamma`` call serves all terms,
-    and an entry does not depend on which other indices share it, so probes
-    match the full spectrum bit for bit.  The terms cancel from about 1e6 at
-    alpha = 1e5, so ``log_scale`` is added first and the rounding follows it.
+    is the constant-symbol diagonal, 2 pi (alpha+1) r p^-3 NB(m) with NB the
+    negative-binomial pmf Gamma(n+m)/(Gamma(n) m!) p^n q^m, n = alpha+2,
+    p = 1-r^2, q = r^2.  NB is taken in Loader's saddle-point form ("Fast and
+    Accurate Computation of Binomial Probabilities", 2000):
+    log NB = stirlerr(n+m) - stirlerr(n) - stirlerr(m) - bd0(n, (n+m) p)
+    - bd0(m, (n+m) q) - log(2 pi m (n+m)/n)/2, and n log p at m = 0.  Both
+    deviances take their M - x from D = n q - m p, so no term of size alpha
+    cancels: against 40-digit mpmath log d_m is off by at most 6.8e-13
+    within 10 widths of the peak at alpha = 1e5 (r = 0.5, 1/sqrt(2), 0.95),
+    where a sum of log-gammas of size 1e6 is off by up to 3.3e-9.
+
+    ``stirlerr`` is the series above 15.  At or below 15 it comes from a
+    table at the integers m, and from ``math.lgamma`` for n and for the at
+    most 14 values n + m <= 15 (alpha < 13 only); a call takes these
+    branches only when it holds such an index.  An entry does not depend on
+    which other indices share the call, so probes match the full spectrum
+    bit for bit.
     """
     r, a = model.r, model.alpha
     m = np.asarray(m, dtype=float)
-    lg = log_gamma(np.concatenate((a + m + 2.0, m + 1.0, [a + 1.0])))
-    return (log_scale + (a - 1.0) * math.log(1.0 - r * r)
-            + lg[:m.size] - lg[-1] - lg[m.size:-1]
-            + (2.0 * m + 1.0) * math.log(r))
+    n = a + 2.0
+    p, q = (1.0 - r) * (1.0 + r), r * r
+    log_base = log_scale + math.log((a + 1.0) * r) - 3.0 * math.log(p)
+    small = bool(np.any(m <= 15.0))
+    mm = np.maximum(m, 1.0) if small else m   # m = 0 is set last
+    big = n + mm
+    s_big = _stirlerr(big)
+    if n <= 14.0:
+        low = big <= 15.0
+        s_big[low] = [_stirlerr_lgamma(x) for x in big[low]]
+    s_m = _stirlerr(mm)
+    if small:
+        low = mm <= 15.0
+        s_m[low] = _STIRLERR_SMALL[mm[low].astype(np.intp)]
+    s_n = _stirlerr(n) if n > 15.0 else _stirlerr_lgamma(n)
+    diff = n * q - mm * p
+    out = (log_base - s_n) + (s_big - s_m - _bd0(n, -diff) - _bd0(mm, diff)
+                              - 0.5 * np.log(mm * big * (2.0 * math.pi / n)))
+    if small:
+        out[m == 0.0] = log_base + n * math.log(p)
+    return out
 
 
 def _log_eigenvalues(model: CircleSymbolModel, m) -> np.ndarray:
@@ -318,8 +378,8 @@ def _window_ends(model: CircleSymbolModel, cut: int, thresholds,
     decreases in m, so the set is one index interval around the peak.  Its
     ends are found on the rising side [0, peak] and the falling side
     [peak, cut] of every threshold at once: each level probes all open
-    brackets through one ``log_gamma`` call.  With ``relative`` each t is a
-    fraction of the peak value.
+    brackets through one ``_log_diagonal`` call.  With ``relative`` each t is
+    a fraction of the peak value.
     """
     m_star = min(largest_eigenvalue_index(model.r, model.alpha), cut)
     near = np.arange(max(m_star - 1, 0), min(m_star + 1, cut) + 1)
@@ -353,8 +413,8 @@ def explicit_count(model: CircleSymbolModel, t1: float, t2: float,
     norm bound counts every eigenvalue >= t1.  The count is
     #{lambda >= t1} - #{lambda >= nextafter(t2, inf)}, each term the length
     of a window whose ends are found by bracket refinement at O(log alpha)
-    ``log_gamma`` arguments, so it runs in bounded memory where the spectrum
-    itself would exceed its cap.
+    evaluations of ``_log_diagonal``, so it runs in bounded memory where the
+    spectrum itself would exceed its cap.
     """
     cut = _checked_cutoff(model, cutoff)
     if cut is None:
@@ -385,7 +445,7 @@ def explicit_trace(model: CircleSymbolModel, phi,
     Equals ``sum(phi(explicit_eigenvalues(model, cutoff).eigenvalues))`` with
     the cutoff taken past every term that counts: the sum runs over one index
     window [first, last] around the peak m*, evaluated _CHUNK indices per
-    ``log_gamma`` call, so memory stays bounded by the chunk.  With
+    ``_log_diagonal`` call, so memory stays bounded by the chunk.  With
     p = ``phi.p_exponent`` and sigma = sqrt(alpha+2) r/(1-r^2) the width of
     the negative-binomial pmf, the first window reaches
     sigma sqrt(2 ln(1/tol)/p) past m* on each side, tol = 2^-53, plus a

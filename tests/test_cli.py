@@ -2,6 +2,7 @@ import math
 import time
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import gammaln
@@ -13,6 +14,29 @@ GOLDEN = Path(__file__).parent / "golden"
 
 def run(argv):
     return cli.main(argv)
+
+
+def _mp_scaled_trace(r, alpha, p):
+    # sqrt(pi/alpha) sum_m lambda_m^p in 30-digit mpmath: the peak term from
+    # log-gammas, then the ratios r^2 (alpha+m+2)/(m+1) of successive terms,
+    # out on both sides until a term falls below 1e-32 of the peak's.
+    with mpmath.workdps(30):
+        r, a, p = mpmath.mpf(r), mpmath.mpf(alpha), mpmath.mpf(p)
+        q = r * r
+        m_star = int((alpha + 1.0) * float(q) / (1.0 - float(q)))
+        log_peak = (mpmath.log(2 * mpmath.pi) - mpmath.log(2 * mpmath.pi * a) / 2
+                    + (a - 1) * mpmath.log(1 - q) + mpmath.loggamma(a + m_star + 2)
+                    - mpmath.loggamma(a + 1) - mpmath.loggamma(m_star + 1)
+                    + (2 * m_star + 1) * mpmath.log(r))
+        total, floor = mpmath.mpf(1), -32 * mpmath.log(10)
+        for step in (1, -1):
+            m, log_term = m_star, mpmath.mpf(0)
+            while m + step >= 0 and log_term >= floor:
+                ratio = q * (a + m + 2) / (m + 1) if step == 1 else m / (q * (a + m + 1))
+                log_term += p * mpmath.log(ratio)
+                m += step
+                total += mpmath.exp(log_term)
+        return float(mpmath.sqrt(mpmath.pi / a) * mpmath.exp(p * log_peak) * total)
 
 
 class TestTables:
@@ -80,6 +104,16 @@ class TestTables:
         for g_row, w_row in zip(got_rows[1:], want_rows[1:]):
             for g, w in zip(g_row, w_row, strict=True):
                 assert float(g) == pytest.approx(float(w), rel=rel, abs=0.0)
+
+    def test_golden_scan_matches_mpmath_sum(self):
+        # The frozen trace rows are the mpmath sums to 1e-15, well inside the
+        # 1e-14 that ties them to the scan output.
+        lines = (GOLDEN / "scan_r0.5_pow0.3.csv").read_text().splitlines()[1:]
+        assert len(lines) == 3
+        for line in lines:
+            alpha, lhs, _ = line.split(",")
+            want = _mp_scaled_trace(0.5, float(alpha), 0.3)
+            assert abs(float(lhs) - want) <= 1e-15 * want, alpha
 
 
 class TestScan:

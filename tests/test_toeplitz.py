@@ -22,7 +22,6 @@ from szegolab import (
     explicit_trace,
     hermitian_eigenvalues,
     largest_eigenvalue_index,
-    log_gamma,
     matrix_elements,
     poly_phi,
     power_phi,
@@ -144,6 +143,55 @@ class TestExplicitEigenvalues:
                 lam_max = explicit_eigenvalues(model).eigenvalues.max()
                 envelope = model.norm_bound * math.sqrt((alpha + 1.0) / alpha)
                 assert lam_max <= envelope * (1.0 + 1e-9)
+
+
+def _mp_log_diagonal(r, alpha, m):
+    # log(d_m / (2 pi)) from 40-digit log-gammas, r and alpha taken exactly.
+    with mpmath.workdps(40):
+        r, a = mpmath.mpf(r), mpmath.mpf(alpha)
+        return float((a - 1) * mpmath.log(1 - r * r) + mpmath.loggamma(a + m + 2)
+                     - mpmath.loggamma(a + 1) - mpmath.loggamma(m + 1)
+                     + (2 * m + 1) * mpmath.log(r))
+
+
+class TestLogDiagonal:
+    # The negative-binomial form switches branches at m = 0 (n log p), at
+    # m = 15 (table, then series) and where n + m = alpha + 2 + m crosses 15
+    # (math.lgamma, then series; only for alpha < 13).
+    @pytest.mark.parametrize("alpha", [0.7, 12.0, 12.5, 13.0, 13.5, 100.0])
+    @pytest.mark.parametrize("r", [0.3, 0.75])
+    def test_branch_seams_against_mpmath(self, r, alpha):
+        model = CircleSymbolModel(r=r, alpha=alpha)
+        m = np.arange(41)
+        got = toeplitz._log_diagonal(model, m, 0.0)
+        want = np.array([_mp_log_diagonal(r, alpha, k) for k in m])
+        assert np.max(np.abs(got - want)) <= 1e-13
+        # the branch taken depends on the index, not on the other indices
+        for k in (0, 1, 13, 14, 15, 16, 40):
+            assert toeplitz._log_diagonal(model, [k], 0.0)[0] == got[k]
+        assert np.array_equal(toeplitz._log_diagonal(model, m[16:], 0.0), got[16:])
+        assert np.array_equal(toeplitz._log_diagonal(model, m[::-1], 0.0), got[::-1])
+
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0])
+    def test_matrix_rows_without_explicit_spectrum(self, alpha):
+        model = CircleSymbolModel(r=0.5, alpha=alpha)
+        diag = np.diagonal(matrix_elements(model, cutoff=40))
+        want = np.array([math.log(2 * math.pi) + _mp_log_diagonal(0.5, alpha, k)
+                         for k in range(41)])
+        assert np.max(np.abs(np.log(diag) - want)) <= 1e-13
+
+    @pytest.mark.parametrize("r, alpha", [(0.5, 1e5), (1 / math.sqrt(2), 1e5),
+                                          (0.95, 1e5), (0.5, 1e4)])
+    def test_large_alpha_against_mpmath(self, r, alpha):
+        # Within 10 widths of the peak.  A sum of log-gammas of size 1e6 is
+        # off by 3.4e-11 to 3.3e-9 here; the deviance form stays below 1e-12.
+        model = CircleSymbolModel(r=r, alpha=alpha)
+        sigma = math.sqrt(alpha + 2.0) * r / (1.0 - r * r)
+        m = np.unique(np.round(largest_eigenvalue_index(r, alpha)
+                               + sigma * np.linspace(-10.0, 10.0, 41)).astype(int))
+        got = toeplitz._log_diagonal(model, m, 0.0)
+        want = np.array([_mp_log_diagonal(r, alpha, int(k)) for k in m])
+        assert np.max(np.abs(got - want)) <= 2e-12
 
 
 def _full_array_cutoff(model):
@@ -285,16 +333,16 @@ def _spectrum_sum(model, phi, cutoff):
 
 
 def _record_indices(monkeypatch):
-    # Each log_gamma call of the explicit spectrum takes (alpha+m+2, m+1,
-    # alpha+1); the list collects the indices m of every call.
+    # The list collects the indices m of every evaluation of the explicit
+    # spectrum's log-eigenvalues.
     calls = []
+    log_diagonal = toeplitz._log_diagonal
 
-    def counted(x):
-        n = (len(x) - 1) // 2
-        calls.append(np.asarray(x[n:2 * n]) - 1.0)
-        return log_gamma(x)
+    def counted(model, m, log_scale):
+        calls.append(np.asarray(m, dtype=float))
+        return log_diagonal(model, m, log_scale)
 
-    monkeypatch.setattr(toeplitz, "log_gamma", counted)
+    monkeypatch.setattr(toeplitz, "_log_diagonal", counted)
     return calls
 
 
@@ -332,7 +380,8 @@ class TestExplicitTrace:
 
     def test_one_log_gamma_call_per_row_under_a_chunk(self, monkeypatch):
         # The pow:1 windows (about 160 to 1.2e3 indices) take one call a
-        # row; the pow:0.05 window at alpha = 1e5 (about 1.7e4) takes two.
+        # row; the pow:0.05 window at alpha = 1e5 (about 1.7e4) takes one
+        # call per chunk, each chunk full but the last.
         calls = _record_indices(monkeypatch)
         template = CircleSymbolModel(r=0.5, alpha=1.0)
         rows = convergence_scan(template, [1e2, 1e3, 1e4], phi=power_phi(1.0))
@@ -340,7 +389,9 @@ class TestExplicitTrace:
         assert all(c.size < toeplitz._CHUNK for c in calls)
         calls.clear()
         explicit_trace(CircleSymbolModel(r=0.5, alpha=1e5), power_phi(0.05))
-        assert [c.size for c in calls][0] == toeplitz._CHUNK and len(calls) == 2
+        sizes = [c.size for c in calls]
+        assert len(sizes) > 1 and len(sizes) == math.ceil(sum(sizes) / toeplitz._CHUNK)
+        assert sizes[:-1] == [toeplitz._CHUNK] * (len(sizes) - 1)
 
     @pytest.mark.parametrize("shift", [-0.5, 0.5])
     def test_extension_evaluates_only_new_indices(self, monkeypatch, shift):
@@ -364,7 +415,7 @@ class TestExplicitTrace:
     def test_window_above_the_cap_is_refused(self, monkeypatch):
         # r = 0.999, alpha = 1e5: the pow:1 window (about 2.7e6 indices)
         # fits under the cap, the pow:0.05 one (about 1.3e7) does not and is
-        # refused before any log_gamma call.
+        # refused before any evaluation.
         calls = _record_indices(monkeypatch)
         with pytest.raises(DomainError, match="cap"):
             explicit_trace(CircleSymbolModel(r=0.999, alpha=1e5), power_phi(0.05))
@@ -464,17 +515,11 @@ class TestMatrixElements:
         assert np.max(np.abs(diag / want - 1.0)) <= 1e-14
 
     def test_one_log_gamma_call(self, monkeypatch):
-        calls = []
-
-        def counted(x):
-            calls.append(np.size(x))
-            return log_gamma(x)
-
-        monkeypatch.setattr(toeplitz, "log_gamma", counted)
+        calls = _record_indices(monkeypatch)
         for fourier in (None, (1.0, 0.2 + 0.1j)):
             calls.clear()
             matrix_elements(CircleSymbolModel(r=0.5, alpha=30.0, fourier=fourier), cutoff=60)
-            assert calls == [2 * 61 + 1]
+            assert len(calls) == 1 and np.array_equal(calls[0], np.arange(61))
 
     @pytest.mark.parametrize("r", [0.3, 0.5, 1 / math.sqrt(2)])
     @pytest.mark.parametrize("alpha", [1.0, 10.0, 100.0])
@@ -825,8 +870,8 @@ class TestCompositionTrace:
     def test_large_alpha_matches_gammaln_sum(self, r, alpha):
         # Unnormalized eigenvalues d_k = 2 pi (1-r^2)^(alpha-1) Gamma(alpha+k+2)
         # / (Gamma(alpha+1) k!) r^(2k+1) from scipy, summed far past the peak
-        # (ratio below 2/3 there); the explicit spectrum is itself off by up
-        # to 4e-9 at alpha = 1e5, hence 1e-8.
+        # (ratio below 2/3 there); the log-gammas of this reference cancel
+        # from about 1e6 at alpha = 1e5, hence 1e-8.
         k = np.arange(3 * largest_eigenvalue_index(r, alpha) + 2000, dtype=float)
         log_d = (math.log(2.0 * math.pi) + (alpha - 1.0) * math.log1p(-r * r)
                  + gammaln(alpha + k + 2.0) - gammaln(alpha + 1.0) - gammaln(k + 1.0)

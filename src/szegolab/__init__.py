@@ -43,7 +43,6 @@ from .toeplitz import (
     CircleSymbolModel,
     SpectrumTruncation,
     composition_trace_quadrature,
-    default_cutoff,
     explicit_count,
     explicit_eigenvalues,
     explicit_trace,

@@ -52,7 +52,8 @@ class PhiFunction:
     """A spectral test function with a declared small-power exponent.
 
     ``fn`` must accept ndarrays elementwise.  ``p_exponent`` is a p > 0 with
-    phi(t)/t^p continuous on [0, R]; it controls tail truncation in the
+    phi(t)/t^p continuous on [0, R]; it sizes the index window of
+    ``explicit_trace`` and, taken at most 1, the tail truncation in the
     transform.  Admissible phi vanish at 0.
     """
 
@@ -76,7 +77,7 @@ def power_phi(p: float) -> PhiFunction:
         with np.errstate(under="ignore"):
             return np.asarray(s, dtype=float) ** p
 
-    return PhiFunction(fn=fn, p_exponent=min(p, 1.0))
+    return PhiFunction(fn=fn, p_exponent=p)
 
 
 def poly_phi(coeffs: Sequence[float]) -> PhiFunction:

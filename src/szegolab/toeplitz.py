@@ -27,7 +27,6 @@ __all__ = [
     "CircleSymbolModel",
     "SpectrumTruncation",
     "largest_eigenvalue_index",
-    "default_cutoff",
     "explicit_eigenvalues",
     "explicit_count",
     "explicit_trace",
@@ -43,12 +42,13 @@ _SYMBOL_GRID = 4096
 # Size caps, checked before anything of that size is allocated; a request
 # beyond one raises DomainError (CLI exit 2).  MAX_SPECTRUM_TERMS bounds
 # ``explicit_eigenvalues``, which holds 8 bytes per term (one array in index
-# order) and evaluates them _CHUNK at a time (about 0.6 MB of temporaries),
-# so 4e6 terms cost about 33 MB; counts do not need the spectrum and have no
-# cap.  It also bounds the index window of ``explicit_trace``, which holds
-# one chunk at a time, so there it caps the work (about 0.4 s at the cap),
-# not the memory; and the walk array of ``composition_trace_quadrature``,
-# which raises AccuracyError there.  _CHUNK = 8192 was the fastest of 4096
+# order, by default up to the last index >= _ROW_FLOOR of the peak) and
+# evaluates them _CHUNK at a time (about 0.6 MB of temporaries), so 4e6
+# terms cost about 33 MB; counts do not need the spectrum and have no cap.
+# It also bounds the index window of ``explicit_trace``, which holds one
+# chunk at a time, so there it caps the work (about 0.4 s at the cap), not
+# the memory; and the walk array of ``composition_trace_quadrature``, which
+# raises AccuracyError there.  _CHUNK = 8192 was the fastest of 4096
 # to 32768 on alpha = 1e5 trace windows of 1.7e4 to 5.3e4 indices; larger
 # chunks win only on windows of millions, by about 10%.
 # MAX_MATRIX_ORDER bounds ``matrix_elements``: a dense complex matrix of
@@ -56,8 +56,9 @@ _SYMBOL_GRID = 4096
 MAX_SPECTRUM_TERMS = 4_000_000
 MAX_MATRIX_ORDER = 4096
 _CHUNK = 1 << 13
-# The default matrix drops the rows past the peak whose constant-symbol
-# diagonal is below u^2 of the peak, u = 2^-53 the unit roundoff.
+# The default spectrum and matrix drop the indices past the peak whose
+# constant-symbol diagonal is below u^2 of the peak, u = 2^-53 the unit
+# roundoff.
 _ROW_FLOOR = 2.0 ** -106
 # Most probes per bracket and level of the windowed count: brackets up to
 # 257^L indices close in L levels (L = 4 at m* ~ 5e7).
@@ -140,9 +141,9 @@ class SpectrumTruncation:
     """Finite truncation of a nonnegative spectrum.
 
     ``eigenvalues`` has no guaranteed order; ``by_index`` holds the values in
-    basis order (index m) for argmax queries, and ``explicit_eigenvalues``
-    passes one array as both.  ``tail_estimate`` bounds the sum of all
-    omitted eigenvalues from above via a geometric tail.
+    basis order (index m), and ``explicit_eigenvalues`` passes one array as
+    both.  ``cutoff_index`` is the last index kept.  ``tail_estimate`` bounds
+    the sum of all omitted eigenvalues from above via a geometric tail.
     """
 
     eigenvalues: np.ndarray
@@ -152,16 +153,6 @@ class SpectrumTruncation:
     alpha: float
     normalized: bool
     norm_bound: float
-
-    def argmax_index(self) -> int:
-        """Largest basis index attaining the maximum within 1e-12 relative.
-
-        Adjacent eigenvalues tie exactly when (alpha+1) r^2/(1-r^2) is an
-        integer; the largest index is the canonical representative.
-        """
-        top = float(self.by_index.max())
-        hits = np.nonzero(self.by_index >= top * (1.0 - 1e-12))[0]
-        return int(hits[-1])
 
 
 def largest_eigenvalue_index(r: float, alpha: float) -> int:
@@ -259,28 +250,6 @@ def _eigenvalues_at(model: CircleSymbolModel, m) -> np.ndarray:
         return np.exp(_log_eigenvalues(model, m))
 
 
-def default_cutoff(model: CircleSymbolModel) -> int:
-    """Truncation index: past the eigenvalue peak plus a safety band.
-
-    Starts at m* + ceil(12 (sqrt(alpha+1) r/(1-r^2) + 50)) and extends until
-    the last eigenvalue sits below 1e-14 of the largest (eigenvalues decay
-    geometrically past the peak, ratio -> r^2).  The spectrum is unimodal
-    with its peak at m* (ties at m* - 1 when (alpha+1) r^2/(1-r^2) is an
-    integer), so each step evaluates m* - 1, m*, m* + 1 and the candidate
-    cutoff only.
-    """
-    if not model.alpha > 0.0:
-        raise DomainError("cutoff rule requires alpha > 0")
-    r, a = model.r, model.alpha
-    m_peak = largest_eigenvalue_index(r, a)
-    cut = m_peak + math.ceil(12.0 * (math.sqrt(a + 1.0) * r / (1.0 - r * r) + 50.0))
-    while True:
-        ln = _log_eigenvalues(model, [max(m_peak - 1, 0), m_peak, m_peak + 1, cut])
-        if ln[-1] < ln.max() + math.log(1e-14):
-            return cut
-        cut = int(cut * 1.25) + 8
-
-
 def _checked_cutoff(model: CircleSymbolModel, cutoff: Optional[int]) -> Optional[int]:
     """``cutoff`` as an int (None stays None) once the explicit formula applies."""
     if not model.is_constant_one:
@@ -301,13 +270,14 @@ def explicit_eigenvalues(model: CircleSymbolModel,
 
     Evaluated in log space and exponentiated last; the result is the
     spectrum of the operator scaled by 1/sqrt(2 pi alpha), in index order,
-    truncated at ``cutoff`` (default: the geometric-decay rule).  Raises
-    DomainError, before allocating, when the spectrum would exceed
-    MAX_SPECTRUM_TERMS terms.
+    truncated at ``cutoff``, the last index kept.  By default it ends where
+    the default ``matrix_elements`` does, at the last index whose eigenvalue
+    is at least u^2 = 2^-106 of the peak.  Raises DomainError, before
+    allocating, when the spectrum would exceed MAX_SPECTRUM_TERMS terms.
     """
     cut = _checked_cutoff(model, cutoff)
     if cut is None:
-        cut = default_cutoff(model)
+        cut = _window_ends(model, None, [_ROW_FLOOR], relative=True)[0][1]
     if cut + 1 > MAX_SPECTRUM_TERMS:
         raise DomainError(
             f"explicit spectrum would hold {cut + 1} terms, above the cap of "
@@ -370,28 +340,54 @@ def _narrow(bracket: list, idx: np.ndarray, lam: np.ndarray) -> None:
         bracket[1] = int(q[j])
 
 
-def _window_ends(model: CircleSymbolModel, cut: int, thresholds,
+def _window_ends(model: CircleSymbolModel, cut: Optional[int], thresholds,
                  relative: bool = False) -> list:
     """Ends (first, last) of {m in [0, cut] : lambda_m >= t} for each t.
 
     An empty set gives (0, -1).  lambda_{m+1}/lambda_m = r^2 (alpha+m+2)/(m+1)
     decreases in m, so the set is one index interval around the peak.  Its
-    ends are found on the rising side [0, peak] and the falling side
-    [peak, cut] of every threshold at once: each level probes all open
-    brackets through one ``_log_diagonal`` call.  With ``relative`` each t is
-    a fraction of the peak value.
+    ends are found on the rising side [0, peak] and the falling side of every
+    threshold at once: each level probes all open brackets through one
+    ``_log_diagonal`` call.  With ``relative`` each t is a fraction of the
+    peak value.
+
+    ``cut=None`` takes the whole spectrum, each t a positive normal float.
+    The ratio is at most c = (1+r^2)/2 from the index m1 on, so
+    lambda_m <= lambda_m1 c^(m-m1) there; the first call evaluates m1, and a
+    falling-side bracket closes at m1 when lambda_m1 < t, else one index
+    past m1 + log(lambda_m1/t)/log(1/c), where that bound is below t.
     """
-    m_star = min(largest_eigenvalue_index(model.r, model.alpha), cut)
-    near = np.arange(max(m_star - 1, 0), min(m_star + 1, cut) + 1)
+    r, a = model.r, model.alpha
+    m_star = largest_eigenvalue_index(r, a)
+    if cut is None:
+        # ratio(m) <= c  <=>  m >= (r^2 (2 alpha + 3) - 1)/(1 - r^2)
+        p = (1.0 - r) * (1.0 + r)
+        end = max(math.ceil((r * r * (2.0 * a + 3.0) - 1.0) / p), m_star + 1)
+        near = np.arange(max(m_star - 1, 0), m_star + 2)
+    else:
+        m_star = min(m_star, cut)
+        end = cut + 1
+        near = np.arange(max(m_star - 1, 0), min(m_star + 1, cut) + 1)
     idx = np.unique(np.concatenate(
-        (near, _bracket_probes(-1, m_star), _bracket_probes(m_star, cut + 1))))
+        (near, _bracket_probes(-1, m_star), _bracket_probes(m_star, end),
+         [end] if cut is None else [])))
     lam = _eigenvalues_at(model, idx)
     at_near = lam[np.searchsorted(idx, near)]
     peak, top = int(near[np.argmax(at_near)]), float(at_near.max())
     if relative:
         thresholds = [t * top for t in thresholds]
-    pairs = [([-1, peak, t, True], [peak, cut + 1, t, False]) if top >= t else None
-             for t in thresholds]
+
+    if cut is None:
+        lam_end = float(lam[np.searchsorted(idx, end)])
+        log_c = math.log1p(-0.5 * p)
+
+    def falling(t: float) -> list:
+        if cut is None and lam_end >= t:
+            steps = (math.log(lam_end) - math.log(t)) / -log_c
+            return [end, end + 1 + math.ceil(steps), t, False]
+        return [peak, end, t, False]
+
+    pairs = [([-1, peak, t, True], falling(t)) if top >= t else None for t in thresholds]
     open_ = [b for pair in pairs if pair for b in pair]
     while open_:
         for b in open_:
@@ -408,20 +404,27 @@ def explicit_count(model: CircleSymbolModel, t1: float, t2: float,
                    cutoff: Optional[int] = None) -> int:
     """Number of explicit eigenvalues in [t1, t2], without building the spectrum.
 
-    Equals ``eigen_count(explicit_eigenvalues(model, cutoff), t1, t2)``: the
-    same computed values are compared the same way, and an upper end at the
-    norm bound counts every eigenvalue >= t1.  The count is
+    Every eigenvalue counts, or with ``cutoff`` every one up to that index,
+    where it equals ``eigen_count(explicit_eigenvalues(model, cutoff), t1,
+    t2)``: the same computed values are compared the same way, and an upper
+    end at the norm bound counts every eigenvalue >= t1.  The count is
     #{lambda >= t1} - #{lambda >= nextafter(t2, inf)}, each term the length
     of a window whose ends are found by bracket refinement at O(log alpha)
     evaluations of ``_log_diagonal``, so it runs in bounded memory where the
-    spectrum itself would exceed its cap.
+    spectrum itself would exceed its cap.  Without ``cutoff``, DomainError
+    for a t1 that is not a finite normal float: infinitely many eigenvalues
+    lie above t1 <= 0, and subnormal values have lost their digits.
     """
     cut = _checked_cutoff(model, cutoff)
-    if cut is None:
-        cut = default_cutoff(model)
-    ts = [t1] if _at_norm_bound(t2, model.norm_bound) else [t1, math.nextafter(t2, math.inf)]
-    at_least_t1, *above_t2 = [last - first + 1 for first, last in _window_ends(model, cut, ts)]
-    return max(at_least_t1 - sum(above_t2), 0)
+    if cut is None and not sys.float_info.min <= t1 < math.inf:
+        raise DomainError(f"a count without cutoff needs a finite t1 >= {sys.float_info.min!r} "
+                          f"(the smallest normal float), got {t1!r}")
+    t2 = math.inf if _at_norm_bound(t2, model.norm_bound) else t2
+    if not t2 >= t1:
+        return 0
+    at_least_t1, above_t2 = [last - first + 1 for first, last in
+                             _window_ends(model, cut, [t1, math.nextafter(t2, math.inf)])]
+    return at_least_t1 - above_t2
 
 
 def _tail_steps(log_end: float, ratio: float, p: float, log_window: float) -> int:
@@ -462,7 +465,7 @@ def explicit_trace(model: CircleSymbolModel, phi,
     of sum phi(lambda) is then at most sup |phi(s)/s^p| times 2 tol times that
     sum, the sup over the omitted eigenvalues, which lie below both end
     values; the ``PhiFunction`` contract keeps it finite, and for
-    ``power_phi(p)``, p <= 1, it is exactly 1.  Both bounds are formed from
+    ``power_phi(p)`` it is exactly 1.  Both bounds are formed from
     log lambda, as the ends lie below 1e-308 for small p.
 
     ``cutoff`` keeps its meaning, the last index kept: the window stops there
@@ -528,20 +531,6 @@ def explicit_trace(model: CircleSymbolModel, phi,
     return total
 
 
-def _matrix_cutoff(model: CircleSymbolModel, bandwidth: int) -> int:
-    """Default cutoff of ``matrix_elements``: bandwidth + last index >= u^2 peak.
-
-    The falling-side bracket starts at ``default_cutoff`` and grows while
-    the threshold is not crossed inside it.
-    """
-    cut = default_cutoff(model)
-    while True:
-        last = _window_ends(model, cut, [_ROW_FLOOR], relative=True)[0][1]
-        if last < cut:
-            return last + bandwidth
-        cut = int(cut * 1.25) + 8
-
-
 def matrix_elements(model: CircleSymbolModel,
                     cutoff: Optional[int] = None) -> np.ndarray:
     """Truncated operator in the monomial basis (unnormalized).
@@ -555,9 +544,10 @@ def matrix_elements(model: CircleSymbolModel,
 
     The default cutoff (alpha > 0) is K + last, so the order is K + last + 1:
     K is the bandwidth and ``last`` the last index past the peak of the
-    constant-symbol diagonal d_m with d_last >= u^2 d_peak, u = 2^-53, found
-    by the windowed bracket refinement of ``explicit_count``.  Entry (j, k)
-    is sqrt(d_j d_k) a_hat[j-k] and a_hat vanishes past K, so the dropped
+    constant-symbol diagonal d_m with d_last >= u^2 d_peak, u = 2^-53, where
+    the default ``explicit_eigenvalues`` ends too, found by the windowed
+    bracket refinement of ``explicit_count``.  Entry (j, k) is
+    sqrt(d_j d_k) a_hat[j-k] and a_hat vanishes past K, so the dropped
     rows couple to the kept block only through its last K rows, all below
     u^2 d_peak.  By Weyl's inequality each kept eigenvalue is then within
     about 2 sum_k |a_hat[k]| u^2 d_peak of its counterpart in any longer
@@ -566,7 +556,12 @@ def matrix_elements(model: CircleSymbolModel,
     DomainError, before allocating, above order MAX_MATRIX_ORDER.
     """
     bandwidth = model.bandwidth
-    cut = _matrix_cutoff(model, bandwidth) if cutoff is None else int(cutoff)
+    if cutoff is not None:
+        cut = int(cutoff)
+    elif model.alpha > 0.0:
+        cut = _window_ends(model, None, [_ROW_FLOOR], relative=True)[0][1] + bandwidth
+    else:
+        raise DomainError("the default matrix order requires alpha > 0")
     if cut < 0:
         raise DomainError(f"cutoff must be nonnegative, got {cutoff}")
     if cut + 1 > MAX_MATRIX_ORDER:

@@ -170,6 +170,16 @@ class TestScan:
         assert run(["scan", "--r", "0.999", "--alpha", "1e5", "--phi", "pow:0.05"]) == 2
         assert "cap" in capsys.readouterr().err
 
+    def test_count_does_not_stop_at_a_cutoff(self, capsys):
+        # Every eigenvalue down to 1e-300: a scipy gammaln count gives 35,420.
+        # Below the smallest normal float the values would be subnormal.
+        assert run(["scan", "--r", "0.9", "--alpha", "1e4", "--t1", "1e-300",
+                    "--t2", "27.7", "--format", "csv"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split(",")[1] == "35420"
+        assert run(["scan", "--r", "0.9", "--alpha", "1e4", "--t1", "1e-320",
+                    "--t2", "27.7"]) == 2
+        assert "smallest normal" in capsys.readouterr().err
+
     def test_small_power_trace_is_not_truncated(self, capsys):
         # The small-p weights of the benchmark's trace workload, alpha = 1e2
         # to 1e5 in half decades: past the cutoff where lambda falls below

@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -7,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy import integrate
 from scipy.special import gammaln
 
@@ -15,7 +16,6 @@ from szegolab import (
     CircleSymbolModel,
     composition_trace_quadrature,
     convergence_scan,
-    default_cutoff,
     eigen_count,
     explicit_count,
     explicit_eigenvalues,
@@ -85,10 +85,24 @@ class TestExplicitEigenvalues:
         assert np.max(np.abs(ratios[mask] / want[mask] - 1.0)) < 1e-10
 
     def test_argmax_is_peak_index(self):
+        # The argmax is the largest index within 1e-12 of the maximum, the
+        # canonical one of an exact tie (alpha+1) r^2/(1-r^2) in the integers.
         for r, alpha in ((0.5, 100.0), (0.3, 250.0), (1 / math.sqrt(2), 64.0)):
-            model = CircleSymbolModel(r=r, alpha=alpha)
-            spec = explicit_eigenvalues(model)
-            assert spec.argmax_index() == largest_eigenvalue_index(r, alpha)
+            lam = explicit_eigenvalues(CircleSymbolModel(r=r, alpha=alpha)).by_index
+            argmax = int(np.nonzero(lam >= lam.max() * (1.0 - 1e-12))[0][-1])
+            assert argmax == largest_eigenvalue_index(r, alpha)
+
+    @pytest.mark.parametrize("r, alpha", [(0.05, 1.0), (0.5, 100.0), (0.95, 1.0),
+                                          (0.9, 1e4), (1 / math.sqrt(2), 64.0)])
+    def test_default_ends_at_the_row_floor(self, r, alpha):
+        # The last index whose eigenvalue is >= u^2 = 2^-106 of the peak,
+        # from every value up to where they fall below the smallest normal.
+        model = CircleSymbolModel(r=r, alpha=alpha)
+        lam = np.exp(_log_eigenvalues(model, np.arange(_long_index(model) + 1)))
+        last = int(np.nonzero(lam >= 2.0 ** -106 * lam.max())[0][-1])
+        spec = explicit_eigenvalues(model)
+        assert spec.cutoff_index == last
+        assert np.array_equal(spec.by_index, lam[:last + 1])
 
     def test_peak_index_float_guard(self):
         # (alpha + 1) r^2/(1 - r^2) is an exact integer for r = 1/sqrt(2);
@@ -194,17 +208,31 @@ class TestLogDiagonal:
         assert np.max(np.abs(got - want)) <= 2e-12
 
 
-def _full_array_cutoff(model):
-    # The cutoff rule as it was first written: every log-eigenvalue over
-    # [0, cut] at each growth step.
-    r, a = model.r, model.alpha
-    cut = largest_eigenvalue_index(r, a) + math.ceil(
-        12.0 * (math.sqrt(a + 1.0) * r / (1.0 - r * r) + 50.0))
+def _long_index(model):
+    # The peak index plus a step, doubled until the eigenvalue there is
+    # below the smallest normal float; every later one is smaller.
+    m_star = largest_eigenvalue_index(model.r, model.alpha)
+    step = 16
+    while _log_eigenvalues(model, [m_star + step])[0] >= math.log(sys.float_info.min):
+        step *= 2
+    return m_star + step
+
+
+def _gammaln_count(r, alpha, t1, t2):
+    # Normalized eigenvalues in [t1, t2] from scipy's gammaln, over indices
+    # doubled until the last value is below t1 / e (they fall past the peak),
+    # and the smallest relative distance of a value to t1 or t2.
+    m = np.arange(2 * largest_eigenvalue_index(r, alpha) + 4)
+    log_t = np.array([math.log(t1), math.log(t2)])
     while True:
-        ln = _log_eigenvalues(model, np.arange(cut + 1))
-        if ln[-1] < ln.max() + math.log(1e-14):
-            return cut
-        cut = int(cut * 1.25) + 8
+        ln = (0.5 * math.log(2 * math.pi / alpha) + (alpha - 1) * math.log1p(-r * r)
+              + gammaln(alpha + m + 2) - gammaln(alpha + 1) - gammaln(m + 1)
+              + (2 * m + 1) * math.log(r))
+        if ln[-1] < log_t[0] - 1.0:
+            break
+        m = np.arange(2 * m.size)
+    count = int(np.sum((ln >= log_t[0]) & (ln <= log_t[1])))
+    return count, float(np.min(np.abs(np.expm1(ln[:, None] - log_t))))
 
 
 def _threshold(spec, model, kind, u):
@@ -237,12 +265,17 @@ class TestExplicitCount:
                                     st.integers(0, 4), st.floats(0.0, 1.0)),
                           min_size=1, max_size=8))
     def test_matches_full_spectrum_count(self, r, log_alpha, cut_scale, picks):
+        # Without a cutoff the oracle spectrum runs until every value is
+        # below the smallest normal float, and a threshold is kept at least
+        # that: a lower t1 is refused.
         model = CircleSymbolModel(r=r, alpha=10.0 ** log_alpha)
-        cutoff = None if cut_scale is None else int(cut_scale * default_cutoff(model))
-        spec = explicit_eigenvalues(model, cutoff=cutoff)
+        long = _long_index(model)
+        cutoff = None if cut_scale is None else int(cut_scale * long)
+        spec = explicit_eigenvalues(model, cutoff=long if cutoff is None else cutoff)
+        floor = sys.float_info.min if cutoff is None else -math.inf
         for k1, u1, k2, u2 in picks:
-            t1 = _threshold(spec, model, k1, u1)
-            t2 = _threshold(spec, model, k2, u2)
+            t1 = max(_threshold(spec, model, k1, u1), floor)
+            t2 = max(_threshold(spec, model, k2, u2), floor)
             for lo, hi in ((t1, t2), (t2, t1)):
                 assert explicit_count(model, lo, hi, cutoff=cutoff) == \
                     eigen_count(spec, lo, hi)
@@ -256,21 +289,15 @@ class TestExplicitCount:
         # The windowed count and the cutoff rule rely on the computed values
         # rising to a peak at m* (or m* - 1 at a tie) and falling after it.
         model = CircleSymbolModel(r=r, alpha=10.0 ** log_alpha)
-        ln = _log_eigenvalues(model, np.arange(default_cutoff(model) + 1))
+        ln = _log_eigenvalues(model, np.arange(_long_index(model) + 1))
         peak = int(np.argmax(ln))
         assert peak - largest_eigenvalue_index(r, model.alpha) in (-1, 0, 1)
         steps = np.diff(ln)
         assert np.all(steps[:peak] >= 0.0) and np.all(steps[peak:] <= 0.0)
 
-    def test_cutoff_matches_full_array_rule(self):
-        for r in (*np.linspace(0.05, 0.95, 10), 1 / math.sqrt(2)):
-            for alpha in np.logspace(0.0, 5.0, 11):
-                model = CircleSymbolModel(r=float(r), alpha=float(alpha))
-                assert default_cutoff(model) == _full_array_cutoff(model)
-
     def test_probes_match_full_spectrum_bitwise(self):
         model = CircleSymbolModel(r=0.6, alpha=3e4)
-        full = _log_eigenvalues(model, np.arange(default_cutoff(model) + 1))
+        full = _log_eigenvalues(model, np.arange(_long_index(model) + 1))
         idx = np.array([0, 17, 5000, 16899, full.size - 1])
         assert np.array_equal(_log_eigenvalues(model, idx), full[idx])
 
@@ -308,7 +335,8 @@ class TestExplicitCount:
             return hi
 
         m_star = largest_eigenvalue_index(r, a)
-        cut = default_cutoff(model)
+        cut = 2 * m_star   # where lambda is far below t1
+        assert log_lam(cut) < math.log(t1)
         want = ((crossing(m_star, cut, t1) - crossing(0, m_star, t1))
                 - (crossing(m_star, cut, t2) - crossing(0, m_star, t2)))
         assert abs(got - want) <= 2
@@ -316,9 +344,42 @@ class TestExplicitCount:
 
     def test_near_unit_radius_spectrum_refused(self):
         model = CircleSymbolModel(r=0.999, alpha=1e5)
-        assert default_cutoff(model) + 1 > MAX_SPECTRUM_TERMS
+        assert largest_eigenvalue_index(model.r, model.alpha) + 1 > MAX_SPECTRUM_TERMS
         with pytest.raises(DomainError, match="cap"):
             explicit_eigenvalues(model)
+
+    @PROPERTY
+    @given(r=st.floats(0.05, 0.95), log_alpha=st.floats(0.0, 4.0),
+           lo=st.floats(-300.0, 0.0), width=st.floats(0.0, 300.0))
+    def test_open_count_matches_gammaln(self, r, log_alpha, lo, width):
+        # Every eigenvalue in [t1, t2], t1 down to 1e-300 of the norm bound,
+        # against scipy's gammaln; draws with an eigenvalue within 1e-9 of an
+        # end are skipped, as the two evaluations differ by about 1e-12 there.
+        alpha = 10.0 ** log_alpha
+        model = CircleSymbolModel(r=r, alpha=alpha)
+        t1 = model.norm_bound * 10.0 ** lo
+        t2 = min(t1 * 10.0 ** width, model.norm_bound * (1.0 - 1e-9))
+        want, margin = _gammaln_count(r, alpha, t1, t2)
+        assume(margin > 1e-9)
+        assert explicit_count(model, t1, t2) == want
+
+    def test_open_count_reaches_past_the_old_cutoff(self):
+        # Every eigenvalue down to 1e-300: 13,632 of them lie past index
+        # 48,920, where lambda is already 2e-34.
+        model = CircleSymbolModel(r=0.9, alpha=1e4)
+        want, margin = _gammaln_count(0.9, 1e4, 1e-300, 27.7)
+        assert margin > 1e-9
+        assert explicit_count(model, 1e-300, 27.7) == want == 35420
+
+    def test_open_count_refuses_unbounded_or_subnormal_t1(self):
+        model = CircleSymbolModel(r=0.5, alpha=100.0)
+        for t1 in (0.0, -1.0, math.nan, math.inf, 1e-320, sys.float_info.min / 2):
+            with pytest.raises(DomainError, match="smallest normal"):
+                explicit_count(model, t1, 1.0)
+        # a cutoff bounds the count, and an empty interval counts nothing
+        spec = explicit_eigenvalues(model, cutoff=300)
+        assert explicit_count(model, 0.0, 1.0, cutoff=300) == eigen_count(spec, 0.0, 1.0)
+        assert explicit_count(model, sys.float_info.min, 0.0) == 0
 
     def test_rejects_fourier_symbol_and_negative_cutoff(self):
         with pytest.raises(DomainError):
@@ -373,7 +434,8 @@ class TestExplicitTrace:
         model = CircleSymbolModel(r=r, alpha=alpha)
         m_star = largest_eigenvalue_index(r, alpha)
         for phi in (power_phi(0.05), power_phi(2.0), poly_phi([1.0, 0.5])):
-            for cutoff in (0, 3, m_star // 2, m_star, m_star + 40, default_cutoff(model)):
+            for cutoff in (0, 3, m_star // 2, m_star, m_star + 40,
+                           explicit_eigenvalues(model).cutoff_index):
                 want = _spectrum_sum(model, phi, cutoff)
                 got = explicit_trace(model, phi, cutoff=cutoff)
                 assert abs(got - want) <= 1e-13 * want, (phi, cutoff)
@@ -437,7 +499,7 @@ class TestExplicitTrace:
 class TestMatrixElements:
     def test_dense_matrix_refused_above_cap(self):
         model = CircleSymbolModel(r=0.5, alpha=1e5, fourier=(1.0, 0.3))
-        assert default_cutoff(model) + 1 > MAX_MATRIX_ORDER
+        assert largest_eigenvalue_index(model.r, model.alpha) + 1 > MAX_MATRIX_ORDER
         with pytest.raises(DomainError, match="cap"):
             matrix_elements(model)
 
@@ -456,14 +518,15 @@ class TestMatrixElements:
     @pytest.mark.parametrize("r, alpha", [
         (0.3, 10.0), (0.3, 100.0), (0.3, 1e3), (0.5, 10.0), (0.5, 100.0), (0.5, 1e3),
         (0.7, 10.0), (0.7, 100.0), (0.7, 1e3),
-        # here the threshold lies past default_cutoff, so the bracket grows
+        # here the threshold lies past about 2 m*, where the ratio of successive
+        # values has dropped to (1+r^2)/2, so the bracket closes on its bound
         (0.95, 1.0)])
     @pytest.mark.parametrize("fourier", [(1.0, 0.3), (1.0, 0.2 + 0.1j, 0.1)])
     def test_default_order_is_the_row_rule(self, r, alpha, fourier):
         # Bandwidth + the last index past the peak whose diagonal is >= u^2
         # of the peak, from every diagonal value up to well past the cutoff.
         model = CircleSymbolModel(r=r, alpha=alpha, fourier=fourier)
-        lam = np.exp(_log_eigenvalues(model, np.arange(4 * default_cutoff(model))))
+        lam = np.exp(_log_eigenvalues(model, np.arange(_long_index(model) + 1)))
         last = int(np.nonzero(lam >= 2.0 ** -106 * lam.max())[0][-1])
         assert last < lam.size - 1
         assert matrix_elements(model).shape[0] == len(fourier) + last
@@ -472,11 +535,14 @@ class TestMatrixElements:
     @pytest.mark.parametrize("alpha", [10.0, 100.0, 1e3])
     @pytest.mark.parametrize("fourier", [(1.0, 0.3), (1.0, 0.2 + 0.1j, 0.1)])
     def test_default_order_keeps_the_spectrum(self, r, alpha, fourier):
-        # Against the longer default_cutoff truncation: the same head within
-        # 1e-14 of the top, and the same power sums.  Both matrices are
-        # banded, so scipy's banded solver takes them in O(n) memory.
+        # Against a longer truncation, 12 (sigma + 50) past the peak: the
+        # same head within 1e-14 of the top, and the same power sums.  Both
+        # matrices are banded, so scipy's banded solver takes them in O(n)
+        # memory.
         model = CircleSymbolModel(r=r, alpha=alpha, fourier=fourier)
         k = len(fourier) - 1
+        longer = largest_eigenvalue_index(r, alpha) + math.ceil(
+            12.0 * (math.sqrt(alpha + 1.0) * r / (1.0 - r * r) + 50.0))
 
         def spectrum(mat):
             band = [np.concatenate((np.zeros(k - off), np.diagonal(mat, k - off)))
@@ -484,7 +550,7 @@ class TestMatrixElements:
             return scipy.linalg.eigvals_banded(np.array(band))[::-1]
 
         got = spectrum(matrix_elements(model))
-        full = spectrum(matrix_elements(model, cutoff=default_cutoff(model)))
+        full = spectrum(matrix_elements(model, cutoff=longer))
         assert got.size < full.size
         assert np.max(np.abs(got - full[:got.size])) <= 1e-14 * full[0]
         for p in (1, 2, 3):
@@ -525,7 +591,7 @@ class TestMatrixElements:
     @pytest.mark.parametrize("alpha", [1.0, 10.0, 100.0])
     def test_spectrum_matches_explicit(self, r, alpha):
         model = CircleSymbolModel(r=r, alpha=alpha)
-        cut = default_cutoff(model)
+        cut = explicit_eigenvalues(model).cutoff_index
         mat = matrix_elements(model, cutoff=cut)
         spec_matrix = hermitian_eigenvalues(mat)
         spec_explicit = np.sort(explicit_eigenvalues(model, cutoff=cut).eigenvalues)[::-1] \

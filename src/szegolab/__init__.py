@@ -44,7 +44,6 @@ from .toeplitz import (
     SpectrumTruncation,
     composition_trace_quadrature,
     explicit_count,
-    explicit_eigenvalues,
     explicit_trace,
     largest_eigenvalue_index,
     matrix_elements,

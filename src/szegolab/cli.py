@@ -34,7 +34,7 @@ from .szego import (
     q_transform,
     QTransformSpec,
 )
-from .toeplitz import CircleSymbolModel, composition_trace_quadrature, explicit_eigenvalues
+from .toeplitz import CircleSymbolModel, composition_trace_quadrature, explicit_trace
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -203,14 +203,12 @@ def cmd_scan(args) -> int:
     alphas = parse_alpha_list(args.alpha)
     template = CircleSymbolModel(r=args.r, alpha=alphas[0])
     if args.phi is not None:
-        rows = convergence_scan(template, alphas, phi=parse_phi(args.phi),
-                                cutoff=args.cutoff)
+        rows = convergence_scan(template, alphas, phi=parse_phi(args.phi))
         emit(("alpha", "lhs_scaled", "rhs_limit"),
              [(r.alpha, r.lhs_scaled, r.rhs_limit) for r in rows],
              args.format, args.out)
     elif args.t1 is not None and args.t2 is not None:
-        rows = convergence_scan(template, alphas, interval=(args.t1, args.t2),
-                                cutoff=args.cutoff)
+        rows = convergence_scan(template, alphas, interval=(args.t1, args.t2))
         emit(("alpha", "count", "predicted_count", "scaled_count", "limit"),
              [(r.alpha, r.count_n, r.rhs_asymptotic_count, r.lhs_scaled,
                r.rhs_limit) for r in rows],
@@ -283,10 +281,14 @@ def cmd_trace_compare(args) -> int:
         raise DomainError(f"trace-compare takes one alpha, got {args.alpha!r}")
     alpha, m = alphas[0], args.m
     model = CircleSymbolModel(r=args.r, alpha=alpha)
-    # The spectrum first: past its cap it fails before the quadrature runs.
-    unnorm = explicit_eigenvalues(model).eigenvalues * math.sqrt(2.0 * math.pi * alpha)
-    with np.errstate(over="ignore"):
-        eig_sum = float(np.sum(unnorm ** m))
+    # The eigenvalue side first: past its window cap it fails before the
+    # quadrature runs.  sum d^m = (2 pi alpha)^(m/2) sum lambda^m over the
+    # normalized eigenvalues lambda.
+    try:
+        with np.errstate(over="ignore"):
+            eig_sum = (2.0 * math.pi * alpha) ** (m / 2) * explicit_trace(model, power_phi(m))
+    except OverflowError:  # the float power, past the float range
+        eig_sum = math.inf
     if not math.isfinite(eig_sum):
         raise DomainError(f"eigenvalue sum of power {m} exceeds the float range")
     quad = composition_trace_quadrature(model, m)
@@ -309,7 +311,6 @@ FLAGS = {
     "m": dict(type=int, help="composition length / block count"),
     "d": dict(type=int, help="block dimension"),
     "seed": dict(type=int, help="RNG seed"),
-    "cutoff": dict(type=int, help="explicit truncation index"),
     "tol": dict(type=float, help="tolerance"),
     "format": dict(type=str, choices=FORMATS, help="output format"),
     "out": dict(type=str, help="write the report here (default stdout)"),
@@ -325,7 +326,7 @@ COMMANDS = {
     "table2": ("reproduce the r=1/sqrt(2) eigenvalue-count table",
                lambda args: cmd_table(GOLDEN_TABLE2, args), REPORT),
     "scan": ("alpha scan of scaled traces or counts", cmd_scan,
-             dict(r=None, alpha=None, t1=None, t2=None, phi=None, cutoff=None, **REPORT)),
+             dict(r=None, alpha=None, t1=None, t2=None, phi=None, **REPORT)),
     "classify": ("symplectic classification of a built-in chart", cmd_classify,
                  dict(chart=None, r=0.5, tol=1e-4)),
     "hessdet": ("three evaluations of the block-Hessian determinant", cmd_hessdet,

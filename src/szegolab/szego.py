@@ -327,8 +327,9 @@ def eigen_count(spectrum: SpectrumTruncation, t1: float, t2: float) -> int:
     that overshoot the bound at finite alpha (the peak approaches it from
     above, by an O(1/alpha) excess) are counted as inside: the bound is the
     asymptotic essential sup of the spectrum, and the reference tables were
-    generated with that convention.  For the explicit spectrum,
-    ``toeplitz.explicit_count`` gives the same count without the spectrum.
+    generated with that convention.  The spectrum is an array of matrix
+    eigenvalues; ``toeplitz.explicit_count`` counts the explicit spectrum
+    the same way without building it.
     """
     lam = spectrum.eigenvalues
     if _at_norm_bound(t2, spectrum.norm_bound):
@@ -381,16 +382,14 @@ class ScanRow:
 def convergence_scan(template: CircleSymbolModel,
                      alpha_grid: Sequence[float],
                      phi: Optional[PhiFunction] = None,
-                     interval: Optional[tuple] = None,
-                     cutoff: Optional[int] = None) -> list:
+                     interval: Optional[tuple] = None) -> list:
     """Scaled spectral sums against the alpha-free limit, one row per alpha.
 
     Exactly one of ``phi`` (trace of phi of the operator) or ``interval``
     (eigenvalue counting) must be given.  Rows come back in grid order.
     Neither builds the spectrum: counts come from ``explicit_count``, traces
     from ``explicit_trace``, which sums ``phi`` over the index window whose
-    omitted tails are below 2^-53 of the sum (``cutoff``, when given, still
-    drops every index past it).
+    omitted tails are below 2^-53 of the sum.
     """
     if (phi is None) == (interval is None):
         raise DomainError("provide exactly one of phi or interval")
@@ -403,14 +402,14 @@ def convergence_scan(template: CircleSymbolModel,
     def row(alpha: float) -> ScanRow:
         model = replace(template, alpha=float(alpha))
         if interval is not None:
-            n_count = explicit_count(model, t1, t2, cutoff=cutoff)
+            n_count = explicit_count(model, t1, t2)
             scale = math.sqrt(math.pi / alpha)
             return ScanRow(alpha=float(alpha),
                            lhs_scaled=scale * n_count,
                            rhs_limit=rhs,
                            count_n=n_count,
                            rhs_asymptotic_count=rhs / scale)
-        lhs = math.sqrt(math.pi / alpha) * explicit_trace(model, phi, cutoff=cutoff)
+        lhs = math.sqrt(math.pi / alpha) * explicit_trace(model, phi)
         return ScanRow(alpha=float(alpha), lhs_scaled=lhs, rhs_limit=rhs)
 
     return [row(float(a)) for a in alpha_grid]

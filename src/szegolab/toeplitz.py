@@ -27,7 +27,6 @@ __all__ = [
     "CircleSymbolModel",
     "SpectrumTruncation",
     "largest_eigenvalue_index",
-    "explicit_eigenvalues",
     "explicit_count",
     "explicit_trace",
     "matrix_elements",
@@ -40,25 +39,21 @@ __all__ = [
 _SYMBOL_GRID = 4096
 
 # Size caps, checked before anything of that size is allocated; a request
-# beyond one raises DomainError (CLI exit 2).  MAX_SPECTRUM_TERMS bounds
-# ``explicit_eigenvalues``, which holds 8 bytes per term (one array in index
-# order, by default up to the last index >= _ROW_FLOOR of the peak) and
-# evaluates them _CHUNK at a time (about 0.6 MB of temporaries), so 4e6
-# terms cost about 33 MB; counts do not need the spectrum and have no cap.
-# It also bounds the index window of ``explicit_trace``, which holds one
-# chunk at a time, so there it caps the work (about 0.4 s at the cap), not
-# the memory; and the walk array of ``composition_trace_quadrature``, which
-# raises AccuracyError there.  _CHUNK = 8192 was the fastest of 4096
-# to 32768 on alpha = 1e5 trace windows of 1.7e4 to 5.3e4 indices; larger
-# chunks win only on windows of millions, by about 10%.
+# beyond one raises DomainError (CLI exit 2).  MAX_SPECTRUM_TERMS bounds the
+# index window of ``explicit_trace``, which evaluates _CHUNK indices at a
+# time (about 0.6 MB of temporaries), so there it caps the work (about 0.4 s
+# at the cap), not the memory; and the walk array of
+# ``composition_trace_quadrature``, which raises AccuracyError there.  Counts
+# probe O(log alpha) indices and have no cap.  _CHUNK = 8192 was the fastest
+# of 4096 to 32768 on alpha = 1e5 trace windows of 1.7e4 to 5.3e4 indices;
+# larger chunks win only on windows of millions, by about 10%.
 # MAX_MATRIX_ORDER bounds ``matrix_elements``: a dense complex matrix of
 # order 4096 takes 16 * 4096^2 B = 256 MiB before the eigensolve's workspace.
 MAX_SPECTRUM_TERMS = 4_000_000
 MAX_MATRIX_ORDER = 4096
 _CHUNK = 1 << 13
-# The default spectrum and matrix drop the indices past the peak whose
-# constant-symbol diagonal is below u^2 of the peak, u = 2^-53 the unit
-# roundoff.
+# The default matrix drops the indices past the peak whose constant-symbol
+# diagonal is below u^2 of the peak, u = 2^-53 the unit roundoff.
 _ROW_FLOOR = 2.0 ** -106
 # Most probes per bracket and level of the windowed count: brackets up to
 # 257^L indices close in L levels (L = 4 at m* ~ 5e7).
@@ -138,12 +133,12 @@ class CircleSymbolModel:
 
 @dataclass(frozen=True)
 class SpectrumTruncation:
-    """Finite truncation of a nonnegative spectrum.
+    """A spectrum held as an array, the container ``szego.eigen_count`` reads.
 
-    ``eigenvalues`` has no guaranteed order; ``by_index`` holds the values in
-    basis order (index m), and ``explicit_eigenvalues`` passes one array as
-    both.  ``cutoff_index`` is the last index kept.  ``tail_estimate`` bounds
-    the sum of all omitted eigenvalues from above via a geometric tail.
+    It holds matrix eigenvalues: the explicit spectrum is never built.
+    ``eigen_count`` reads ``eigenvalues`` (any order) and ``norm_bound``
+    only; the other fields stay because ``perfbench/workloads.run_fourier``
+    builds the container by keyword.
     """
 
     eigenvalues: np.ndarray
@@ -250,53 +245,12 @@ def _eigenvalues_at(model: CircleSymbolModel, m) -> np.ndarray:
         return np.exp(_log_eigenvalues(model, m))
 
 
-def _checked_cutoff(model: CircleSymbolModel, cutoff: Optional[int]) -> Optional[int]:
-    """``cutoff`` as an int (None stays None) once the explicit formula applies."""
+def _check_explicit(model: CircleSymbolModel) -> None:
+    """DomainError unless the explicit formula applies: symbol 1, alpha > 0."""
     if not model.is_constant_one:
         raise DomainError("explicit eigenvalues exist only for the constant symbol")
     if not model.alpha > 0.0:
         raise DomainError("explicit eigenvalue formula requires alpha > 0")
-    if cutoff is None:
-        return None
-    cut = int(cutoff)
-    if cut < 0:
-        raise DomainError(f"cutoff must be nonnegative, got {cutoff}")
-    return cut
-
-
-def explicit_eigenvalues(model: CircleSymbolModel,
-                         cutoff: Optional[int] = None) -> SpectrumTruncation:
-    """Closed-form eigenvalues of the normalized operator, constant symbol.
-
-    Evaluated in log space and exponentiated last; the result is the
-    spectrum of the operator scaled by 1/sqrt(2 pi alpha), in index order,
-    truncated at ``cutoff``, the last index kept.  By default it ends where
-    the default ``matrix_elements`` does, at the last index whose eigenvalue
-    is at least u^2 = 2^-106 of the peak.  Raises DomainError, before
-    allocating, when the spectrum would exceed MAX_SPECTRUM_TERMS terms.
-    """
-    cut = _checked_cutoff(model, cutoff)
-    if cut is None:
-        cut = _window_ends(model, None, [_ROW_FLOOR], relative=True)[0][1]
-    if cut + 1 > MAX_SPECTRUM_TERMS:
-        raise DomainError(
-            f"explicit spectrum would hold {cut + 1} terms, above the cap of "
-            f"{MAX_SPECTRUM_TERMS} (r={model.r:g}, alpha={model.alpha:g})")
-    lam = np.empty(cut + 1)
-    for start in range(0, cut + 1, _CHUNK):
-        stop = min(start + _CHUNK, cut + 1)
-        lam[start:stop] = _eigenvalues_at(model, np.arange(start, stop))
-    ratio_next = (model.alpha + 1.0) * model.r ** 2 / (cut + 1.0) + model.r ** 2
-    tail = lam[-1] * ratio_next / (1.0 - ratio_next) if ratio_next < 1.0 else math.inf
-    return SpectrumTruncation(
-        eigenvalues=lam,
-        by_index=lam,
-        cutoff_index=cut,
-        tail_estimate=float(tail),
-        alpha=model.alpha,
-        normalized=True,
-        norm_bound=model.norm_bound,
-    )
 
 
 def _at_norm_bound(t2: float, norm_bound: float) -> bool:
@@ -340,9 +294,9 @@ def _narrow(bracket: list, idx: np.ndarray, lam: np.ndarray) -> None:
         bracket[1] = int(q[j])
 
 
-def _window_ends(model: CircleSymbolModel, cut: Optional[int], thresholds,
-                 relative: bool = False) -> list:
-    """Ends (first, last) of {m in [0, cut] : lambda_m >= t} for each t.
+def _window_ends(model: CircleSymbolModel, thresholds, relative: bool = False) -> list:
+    """Ends (first, last) of {m >= 0 : lambda_m >= t} for each t, a positive
+    normal float.
 
     An empty set gives (0, -1).  lambda_{m+1}/lambda_m = r^2 (alpha+m+2)/(m+1)
     decreases in m, so the set is one index interval around the peak.  Its
@@ -351,7 +305,6 @@ def _window_ends(model: CircleSymbolModel, cut: Optional[int], thresholds,
     ``_log_diagonal`` call.  With ``relative`` each t is a fraction of the
     peak value.
 
-    ``cut=None`` takes the whole spectrum, each t a positive normal float.
     The ratio is at most c = (1+r^2)/2 from the index m1 on, so
     lambda_m <= lambda_m1 c^(m-m1) there; the first call evaluates m1, and a
     falling-side bracket closes at m1 when lambda_m1 < t, else one index
@@ -359,30 +312,22 @@ def _window_ends(model: CircleSymbolModel, cut: Optional[int], thresholds,
     """
     r, a = model.r, model.alpha
     m_star = largest_eigenvalue_index(r, a)
-    if cut is None:
-        # ratio(m) <= c  <=>  m >= (r^2 (2 alpha + 3) - 1)/(1 - r^2)
-        p = (1.0 - r) * (1.0 + r)
-        end = max(math.ceil((r * r * (2.0 * a + 3.0) - 1.0) / p), m_star + 1)
-        near = np.arange(max(m_star - 1, 0), m_star + 2)
-    else:
-        m_star = min(m_star, cut)
-        end = cut + 1
-        near = np.arange(max(m_star - 1, 0), min(m_star + 1, cut) + 1)
+    # ratio(m) <= c  <=>  m >= (r^2 (2 alpha + 3) - 1)/(1 - r^2)
+    p = (1.0 - r) * (1.0 + r)
+    end = max(math.ceil((r * r * (2.0 * a + 3.0) - 1.0) / p), m_star + 1)
+    near = np.arange(max(m_star - 1, 0), m_star + 2)
     idx = np.unique(np.concatenate(
-        (near, _bracket_probes(-1, m_star), _bracket_probes(m_star, end),
-         [end] if cut is None else [])))
+        (near, _bracket_probes(-1, m_star), _bracket_probes(m_star, end), [end])))
     lam = _eigenvalues_at(model, idx)
     at_near = lam[np.searchsorted(idx, near)]
     peak, top = int(near[np.argmax(at_near)]), float(at_near.max())
     if relative:
         thresholds = [t * top for t in thresholds]
-
-    if cut is None:
-        lam_end = float(lam[np.searchsorted(idx, end)])
-        log_c = math.log1p(-0.5 * p)
+    lam_end = float(lam[np.searchsorted(idx, end)])
+    log_c = math.log1p(-0.5 * p)
 
     def falling(t: float) -> list:
-        if cut is None and lam_end >= t:
+        if lam_end >= t:
             steps = (math.log(lam_end) - math.log(t)) / -log_c
             return [end, end + 1 + math.ceil(steps), t, False]
         return [peak, end, t, False]
@@ -400,30 +345,28 @@ def _window_ends(model: CircleSymbolModel, cut: Optional[int], thresholds,
     return [(pair[0][1], pair[1][0]) if pair else (0, -1) for pair in pairs]
 
 
-def explicit_count(model: CircleSymbolModel, t1: float, t2: float,
-                   cutoff: Optional[int] = None) -> int:
+def explicit_count(model: CircleSymbolModel, t1: float, t2: float) -> int:
     """Number of explicit eigenvalues in [t1, t2], without building the spectrum.
 
-    Every eigenvalue counts, or with ``cutoff`` every one up to that index,
-    where it equals ``eigen_count(explicit_eigenvalues(model, cutoff), t1,
-    t2)``: the same computed values are compared the same way, and an upper
-    end at the norm bound counts every eigenvalue >= t1.  The count is
-    #{lambda >= t1} - #{lambda >= nextafter(t2, inf)}, each term the length
-    of a window whose ends are found by bracket refinement at O(log alpha)
-    evaluations of ``_log_diagonal``, so it runs in bounded memory where the
-    spectrum itself would exceed its cap.  Without ``cutoff``, DomainError
-    for a t1 that is not a finite normal float: infinitely many eigenvalues
-    lie above t1 <= 0, and subnormal values have lost their digits.
+    Every eigenvalue counts, compared exactly as ``szego.eigen_count``
+    compares an array of them: an upper end at the norm bound counts every
+    eigenvalue >= t1.  The count is #{lambda >= t1} -
+    #{lambda >= nextafter(t2, inf)}, each term the length of a window whose
+    ends are found by bracket refinement at O(log alpha) evaluations of
+    ``_log_diagonal``, so it runs in bounded memory at any peak index.
+    DomainError for a t1 that is not a finite normal float: infinitely many
+    eigenvalues lie above t1 <= 0, and subnormal values have lost their
+    digits.
     """
-    cut = _checked_cutoff(model, cutoff)
-    if cut is None and not sys.float_info.min <= t1 < math.inf:
-        raise DomainError(f"a count without cutoff needs a finite t1 >= {sys.float_info.min!r} "
+    _check_explicit(model)
+    if not sys.float_info.min <= t1 < math.inf:
+        raise DomainError(f"a count needs a finite t1 >= {sys.float_info.min!r} "
                           f"(the smallest normal float), got {t1!r}")
     t2 = math.inf if _at_norm_bound(t2, model.norm_bound) else t2
     if not t2 >= t1:
         return 0
     at_least_t1, above_t2 = [last - first + 1 for first, last in
-                             _window_ends(model, cut, [t1, math.nextafter(t2, math.inf)])]
+                             _window_ends(model, [t1, math.nextafter(t2, math.inf)])]
     return at_least_t1 - above_t2
 
 
@@ -441,18 +384,15 @@ def _tail_steps(log_end: float, ratio: float, p: float, log_window: float) -> in
     return 0 if excess <= 0.0 else math.ceil(excess / -log_ratio)
 
 
-def explicit_trace(model: CircleSymbolModel, phi,
-                   cutoff: Optional[int] = None) -> float:
+def explicit_trace(model: CircleSymbolModel, phi) -> float:
     """Sum of phi over the explicit spectrum, without building it.
 
-    Equals ``sum(phi(explicit_eigenvalues(model, cutoff).eigenvalues))`` with
-    the cutoff taken past every term that counts: the sum runs over one index
-    window [first, last] around the peak m*, evaluated _CHUNK indices per
-    ``_log_diagonal`` call, so memory stays bounded by the chunk.  With
-    p = ``phi.p_exponent`` and sigma = sqrt(alpha+2) r/(1-r^2) the width of
-    the negative-binomial pmf, the first window reaches
-    sigma sqrt(2 ln(1/tol)/p) past m* on each side, tol = 2^-53, plus a
-    skewness term for the heavier right tail.
+    The sum runs over one index window [first, last] around the peak m*,
+    evaluated _CHUNK indices per ``_log_diagonal`` call, so memory stays
+    bounded by the chunk.  With p = ``phi.p_exponent`` and
+    sigma = sqrt(alpha+2) r/(1-r^2) the width of the negative-binomial pmf,
+    the first window reaches sigma sqrt(2 ln(1/tol)/p) past m* on each side,
+    tol = 2^-53, plus a skewness term for the heavier right tail.
 
     Tail bound: past ``last`` the ratio q = r^2 (alpha+last+2)/(last+1) of
     successive eigenvalues is below 1 and decreasing, so the omitted sum of
@@ -468,12 +408,10 @@ def explicit_trace(model: CircleSymbolModel, phi,
     ``power_phi(p)`` it is exactly 1.  Both bounds are formed from
     log lambda, as the ends lie below 1e-308 for small p.
 
-    ``cutoff`` keeps its meaning, the last index kept: the window stops there
-    and the upper tail, which the caller asked to drop, is not bounded.
     Raises DomainError, before evaluating, when the window would exceed
     MAX_SPECTRUM_TERMS indices.
     """
-    cut = _checked_cutoff(model, cutoff)
+    _check_explicit(model)
     r, a, p = model.r, model.alpha, phi.p_exponent
     m_star = largest_eigenvalue_index(r, a)
     # The Gaussian half-width plus the skewness term of the heavier right
@@ -484,8 +422,7 @@ def explicit_trace(model: CircleSymbolModel, phi,
     log_tol = -math.log(_TAIL_TOL)
     half = math.ceil(sigma * math.sqrt(2.0 * log_tol / p)
                      + log_tol * (1.0 + r * r) / (3.0 * p * (1.0 - r * r)))
-    last = m_star + half if cut is None else min(m_star + half, cut)
-    first = max(min(m_star, last) - half, 0)
+    first, last = max(m_star - half, 0), m_star + half
     # total = sum phi(lambda); sum lambda^p = exp(p log_top) power, with
     # log_top the largest log lambda evaluated so far.
     total, power, log_top = 0.0, 0.0, -math.inf
@@ -521,10 +458,7 @@ def explicit_trace(model: CircleSymbolModel, phi,
         log_window = p * log_top + math.log(power)
         lo_steps = 0 if first == 0 else min(first, _tail_steps(
             log_first, first / (r * r * (a + first + 1.0)), p, log_window))
-        hi_steps = 0 if last == cut else _tail_steps(
-            log_last, r * r * (a + last + 2.0) / (last + 1.0), p, log_window)
-        if cut is not None:
-            hi_steps = min(hi_steps, cut - last)
+        hi_steps = _tail_steps(log_last, r * r * (a + last + 2.0) / (last + 1.0), p, log_window)
         pending = [(lo, hi) for lo, hi in ((first - lo_steps, first - 1),
                                           (last + 1, last + hi_steps)) if lo <= hi]
         first, last = first - lo_steps, last + hi_steps
@@ -540,13 +474,13 @@ def matrix_elements(model: CircleSymbolModel,
     Gamma(m+alpha+2) is the weighted norm of the monomial; the conjugate
     symmetry of the coefficients makes the matrix Hermitian.  A constant
     symbol gives the diagonal of closed-form eigenvalues times
-    sqrt(2 pi alpha), for every alpha > -1 when ``cutoff`` is given.
+    sqrt(2 pi alpha).  ``cutoff`` is the last index kept, so the order is
+    cutoff + 1; with it the matrix exists for every alpha > -1.
 
-    The default cutoff (alpha > 0) is K + last, so the order is K + last + 1:
-    K is the bandwidth and ``last`` the last index past the peak of the
-    constant-symbol diagonal d_m with d_last >= u^2 d_peak, u = 2^-53, where
-    the default ``explicit_eigenvalues`` ends too, found by the windowed
-    bracket refinement of ``explicit_count``.  Entry (j, k) is
+    The default cutoff (alpha > 0) is K + last: K is the bandwidth and
+    ``last`` the last index past the peak of the constant-symbol diagonal
+    d_m with d_last >= u^2 d_peak, u = 2^-53, found by the windowed bracket
+    refinement of ``explicit_count``.  Entry (j, k) is
     sqrt(d_j d_k) a_hat[j-k] and a_hat vanishes past K, so the dropped
     rows couple to the kept block only through its last K rows, all below
     u^2 d_peak.  By Weyl's inequality each kept eigenvalue is then within
@@ -559,7 +493,7 @@ def matrix_elements(model: CircleSymbolModel,
     if cutoff is not None:
         cut = int(cutoff)
     elif model.alpha > 0.0:
-        cut = _window_ends(model, None, [_ROW_FLOOR], relative=True)[0][1] + bandwidth
+        cut = _window_ends(model, [_ROW_FLOOR], relative=True)[0][1] + bandwidth
     else:
         raise DomainError("the default matrix order requires alpha > 0")
     if cut < 0:

@@ -5,8 +5,8 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import gammaln
 
+import gammaln_spectrum
 from szegolab import cli
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -124,12 +124,11 @@ class TestScan:
         assert "lhs_scaled" in out and out.count("\n") == 4
 
     def test_interval_scan_csv(self, capsys):
-        from szegolab import CircleSymbolModel, eigen_count, explicit_eigenvalues
         assert run(["scan", "--r", "0.5", "--alpha", "100", "--t1", "0.5",
                     "--t2", "1.5", "--format", "csv"]) == 0
         out = capsys.readouterr().out
-        want = eigen_count(
-            explicit_eigenvalues(CircleSymbolModel(r=0.5, alpha=100.0)), 0.5, 1.5)
+        want, margin = gammaln_spectrum.count(0.5, 100.0, 0.5, 1.5)
+        assert margin > 1e-9
         assert out.splitlines()[1].split(",")[1] == str(want)
 
     def test_missing_arguments_exit_2(self, capsys):
@@ -195,9 +194,7 @@ class TestScan:
             sigma = math.sqrt(alpha + 2.0) * r / (1.0 - r * r)
             m = np.arange(max(0, m_star - int(60 * sigma) - 100), m_star + int(80 * sigma) + 8000,
                           dtype=float)
-            log_lam = (0.5 * math.log(2.0 * math.pi / alpha) + (alpha - 1.0) * math.log1p(-r * r)
-                       + gammaln(alpha + m + 2.0) - gammaln(alpha + 1.0) - gammaln(m + 1.0)
-                       + (2.0 * m + 1.0) * math.log(r))
+            log_lam = gammaln_spectrum.log_eigenvalues(r, alpha, m)
             floor = log_lam.max() - 20.0 / 0.05 * math.log(10.0)
             assert (m[0] == 0 or log_lam[0] < floor) and log_lam[-1] < floor
             want = math.sqrt(math.pi / alpha) * float(np.sum(np.exp(0.05 * log_lam)))
@@ -268,11 +265,24 @@ class TestChecks:
         assert "eigenvalue sum of power 200 exceeds the float range" in capsys.readouterr().err
 
     def test_trace_compare_refuses_oversized_spectrum_first(self, capsys):
-        # The eigenvalue side is over its cap; it fails before any doubling.
+        # The eigenvalue side's trace window (about 1.9e7 indices) is over
+        # its cap; it fails before any doubling.
         start = time.monotonic()
-        assert run(["trace-compare", "--r", "0.999", "--alpha", "1e5"]) == 2
+        assert run(["trace-compare", "--r", "0.9999", "--alpha", "1e5"]) == 2
         assert time.monotonic() - start < 2.0
         assert "above the cap" in capsys.readouterr().err
+
+    def test_trace_compare_eigenvalue_sum_matches_mpmath(self, capsys):
+        # sum d^m = (2 pi alpha)^(m/2) sum lambda^m against the 30-digit
+        # sum; a scipy gammaln sum is itself off by 5.7e-12 here, its
+        # log-gammas being of size 1e4.
+        r, alpha, m = 0.7, 1e3, 4
+        assert run(["trace-compare", "--m", str(m), "--alpha", "1e3", "--r", str(r),
+                    "--format", "csv"]) == 0
+        rows = dict(line.split(",") for line in capsys.readouterr().out.splitlines()[1:])
+        want = (2 * math.pi * alpha) ** (m / 2) \
+            * _mp_scaled_trace(r, alpha, m) / math.sqrt(math.pi / alpha)
+        assert abs(float(rows["eigenvalue_sum"]) - want) <= 1e-13 * want
 
 
 class TestConfig:
@@ -359,7 +369,7 @@ class TestParser:
 
 # A valid command-line value for each flag, for the parser-only checks.
 FLAG_VALUES = dict(r="0.5", alpha="100", t1="0.5", t2="1.5", phi="pow:1", chart="circle",
-                   m="2", d="2", seed="1", cutoff="50", tol="1e-4", format="csv", out="x")
+                   m="2", d="2", seed="1", tol="1e-4", format="csv", out="x")
 
 
 def declared(name):
@@ -373,7 +383,7 @@ class TestCommandContract:
 
     def test_flag_slots(self):
         # 7 commands, each with its own flags plus --config.
-        assert sum(len(declared(name)) + 1 for name in cli.COMMANDS) == 35
+        assert sum(len(declared(name)) + 1 for name in cli.COMMANDS) == 34
 
     @pytest.mark.parametrize("name", sorted(cli.COMMANDS))
     def test_offers_exactly_its_flags(self, name):
@@ -409,6 +419,17 @@ class TestCommandContract:
             with pytest.raises(SystemExit) as exc:
                 run(argv)
             assert exc.value.code == 2
+
+    def test_scan_has_no_cutoff(self, tmp_path, capsys):
+        # Counts and traces take every eigenvalue: no flag or config key
+        # truncates them.
+        with pytest.raises(SystemExit) as exc:
+            run(["scan", "--r", "0.5", "--alpha", "100", "--phi", "pow:1", "--cutoff", "50"])
+        assert exc.value.code == 2
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("r = 0.5\nalpha = 100\nphi = pow:1\ncutoff = 50\n")
+        assert run(["scan", "--config", str(cfg)]) == 2
+        assert "config keys not read by scan: cutoff" in capsys.readouterr().err
 
     def test_trace_compare_takes_one_alpha(self, capsys):
         assert run(["trace-compare", "--alpha", "30,50"]) == 2

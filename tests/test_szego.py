@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import gammaln_spectrum
 from szegolab import (
     ChartedSubmanifold,
     CircleSymbolModel,
@@ -13,7 +14,7 @@ from szegolab import (
     convergence_scan,
     count_prediction,
     eigen_count,
-    explicit_eigenvalues,
+    explicit_trace,
     make_chart,
     monomial_rhs_circle,
     norm_asymptote,
@@ -326,17 +327,26 @@ class TestCountPrediction:
             count_prediction(0.5, 0.0, 1.0)
 
 
+def gammaln_truncation(r, alpha):
+    # The gammaln spectrum down to the smallest normal float, as the
+    # container eigen_count reads.
+    lam = np.exp(gammaln_spectrum.log_spectrum(r, alpha))
+    return gammaln_spectrum.truncation(lam, CircleSymbolModel(r=r, alpha=alpha))
+
+
 class TestEigenCount:
+    # On the gammaln spectrum: its values lie at least 2.7e-6 (relative)
+    # from every end used here, far above its 3.3e-9 error at alpha = 1e5.
     def test_reference_counts(self):
-        spec100 = explicit_eigenvalues(CircleSymbolModel(r=0.5, alpha=100.0))
+        spec100 = gammaln_truncation(0.5, 100.0)
         assert eigen_count(spec100, 16 / 15, 16 / 9) == 14
-        spec1e5 = explicit_eigenvalues(CircleSymbolModel(r=0.5, alpha=1e5))
+        spec1e5 = gammaln_truncation(0.5, 1e5)
         assert eigen_count(spec1e5, 16 / 15, 16 / 9) == 426
-        spec2 = explicit_eigenvalues(CircleSymbolModel(r=1 / math.sqrt(2), alpha=1e4))
+        spec2 = gammaln_truncation(1 / math.sqrt(2), 1e4)
         assert eigen_count(spec2, 0.4, 0.6) == 56
 
     def test_interior_interval_is_closed_two_sided(self):
-        spec = explicit_eigenvalues(CircleSymbolModel(r=0.5, alpha=100.0))
+        spec = gammaln_truncation(0.5, 100.0)
         inside = eigen_count(spec, 0.5, 1.0)
         manual = int(np.sum((spec.eigenvalues >= 0.5) & (spec.eigenvalues <= 1.0)))
         assert inside == manual
@@ -344,7 +354,7 @@ class TestEigenCount:
     def test_boundary_convention_at_norm_bound(self):
         # With the upper endpoint at the norm bound, the finite-alpha
         # overshoot eigenvalues count as inside.
-        spec = explicit_eigenvalues(CircleSymbolModel(r=0.5, alpha=100.0))
+        spec = gammaln_truncation(0.5, 100.0)
         assert spec.eigenvalues.max() > 16 / 9  # the overshoot exists
         assert eigen_count(spec, 16 / 15, 16 / 9) == int(
             np.sum(spec.eigenvalues >= 16 / 15))
@@ -392,8 +402,8 @@ class TestSchatten:
     def test_scaled_norms_converge(self):
         for p in (0.5, 1.0, 2.0):
             limit = schatten_limit(R_HALF, p)
-            lam = explicit_eigenvalues(CircleSymbolModel(r=0.5, alpha=1e5)).eigenvalues
-            scaled = (math.pi / 1e5) ** (1 / (2 * p)) * float(np.sum(lam ** p)) ** (1 / p)
+            trace = explicit_trace(CircleSymbolModel(r=0.5, alpha=1e5), power_phi(p))
+            scaled = (math.pi / 1e5) ** (1 / (2 * p)) * trace ** (1 / p)
             assert abs(scaled / limit - 1.0) < 0.01
 
 
@@ -462,5 +472,5 @@ class TestNormAsymptote:
         assert asym.m_star(100.0) == 33  # floor(101/3)
 
     def test_peak_value_converges(self):
-        spec = explicit_eigenvalues(CircleSymbolModel(r=1 / math.sqrt(2), alpha=1e5))
-        assert abs(spec.eigenvalues.max() / 4.0 - 1.0) < 0.01
+        peak = math.exp(gammaln_spectrum.log_spectrum(1 / math.sqrt(2), 1e5).max())
+        assert abs(peak / 4.0 - 1.0) < 0.01

@@ -10,15 +10,14 @@ import pytest
 import scipy.linalg
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy import integrate
-from scipy.special import gammaln
 
+import gammaln_spectrum
 from szegolab import (
     CircleSymbolModel,
     composition_trace_quadrature,
     convergence_scan,
     eigen_count,
     explicit_count,
-    explicit_eigenvalues,
     explicit_trace,
     hermitian_eigenvalues,
     largest_eigenvalue_index,
@@ -73,11 +72,15 @@ class TestModelValidation:
         assert np.allclose(m.symbol_values(theta), direct, atol=1e-14)
 
 
+def _evaluated(model, last):
+    # The library's normalized eigenvalues at every index 0..last.
+    return np.exp(_log_eigenvalues(model, np.arange(last + 1)))
+
+
 class TestExplicitEigenvalues:
     def test_quotient_identity(self):
         model = CircleSymbolModel(r=0.4, alpha=37.0)
-        spec = explicit_eigenvalues(model, cutoff=300)
-        lam = spec.by_index
+        lam = _evaluated(model, 300)
         m = np.arange(1, 301, dtype=float)
         ratios = lam[1:] / lam[:-1]
         want = (model.alpha + 1.0) * model.r ** 2 / m + model.r ** 2
@@ -88,21 +91,26 @@ class TestExplicitEigenvalues:
         # The argmax is the largest index within 1e-12 of the maximum, the
         # canonical one of an exact tie (alpha+1) r^2/(1-r^2) in the integers.
         for r, alpha in ((0.5, 100.0), (0.3, 250.0), (1 / math.sqrt(2), 64.0)):
-            lam = explicit_eigenvalues(CircleSymbolModel(r=r, alpha=alpha)).by_index
+            model = CircleSymbolModel(r=r, alpha=alpha)
+            lam = _evaluated(model, _long_index(model))
             argmax = int(np.nonzero(lam >= lam.max() * (1.0 - 1e-12))[0][-1])
             assert argmax == largest_eigenvalue_index(r, alpha)
 
     @pytest.mark.parametrize("r, alpha", [(0.05, 1.0), (0.5, 100.0), (0.95, 1.0),
                                           (0.9, 1e4), (1 / math.sqrt(2), 64.0)])
     def test_default_ends_at_the_row_floor(self, r, alpha):
-        # The last index whose eigenvalue is >= u^2 = 2^-106 of the peak,
-        # from every value up to where they fall below the smallest normal.
+        # The default constant-symbol matrix ends at the last index whose
+        # eigenvalue is >= u^2 = 2^-106 of the peak, from every value up to
+        # where they fall below the smallest normal; above the order cap its
+        # refusal names that order.
         model = CircleSymbolModel(r=r, alpha=alpha)
-        lam = np.exp(_log_eigenvalues(model, np.arange(_long_index(model) + 1)))
+        lam = _evaluated(model, _long_index(model))
         last = int(np.nonzero(lam >= 2.0 ** -106 * lam.max())[0][-1])
-        spec = explicit_eigenvalues(model)
-        assert spec.cutoff_index == last
-        assert np.array_equal(spec.by_index, lam[:last + 1])
+        if last + 1 > MAX_MATRIX_ORDER:
+            with pytest.raises(DomainError, match=f"order {last + 1}, above the cap"):
+                matrix_elements(model)
+        else:
+            assert matrix_elements(model).shape == (last + 1, last + 1)
 
     def test_peak_index_float_guard(self):
         # (alpha + 1) r^2/(1 - r^2) is an exact integer for r = 1/sqrt(2);
@@ -110,31 +118,31 @@ class TestExplicitEigenvalues:
         assert largest_eigenvalue_index(1 / math.sqrt(2), 1e5) == 100001
 
     def test_positive_and_normalized(self):
-        spec = explicit_eigenvalues(CircleSymbolModel(r=0.5, alpha=50.0))
-        assert np.all(spec.eigenvalues >= 0)
-        assert spec.normalized
-
-    def test_tail_estimate_dominates_remainder(self):
-        model = CircleSymbolModel(r=0.5, alpha=50.0)
-        short = explicit_eigenvalues(model, cutoff=200)
-        longer = explicit_eigenvalues(model, cutoff=800)
-        omitted = float(np.sum(longer.by_index[201:]))
-        assert short.tail_estimate >= omitted
+        # Finite logs, so positive values, on the 1/sqrt(2 pi alpha) scale
+        # of the gammaln spectrum down to the smallest normal float, where
+        # its log-gammas of size 4e3 carry about 1e-12.
+        want = gammaln_spectrum.log_spectrum(0.5, 50.0)
+        got = _log_eigenvalues(CircleSymbolModel(r=0.5, alpha=50.0), np.arange(want.size))
+        assert np.all(np.isfinite(got))
+        normal = want >= math.log(sys.float_info.min)
+        assert np.max(np.abs(got - want)[normal]) <= 2e-12
 
     def test_requires_constant_symbol_and_positive_alpha(self):
-        with pytest.raises(DomainError):
-            explicit_eigenvalues(CircleSymbolModel(r=0.5, alpha=5.0, fourier=(1.0, 0.2)))
-        with pytest.raises(DomainError):
-            explicit_eigenvalues(CircleSymbolModel(r=0.5, alpha=-0.5))
+        for model, what in ((CircleSymbolModel(r=0.5, alpha=5.0, fourier=(1.0, 0.2)),
+                             "constant symbol"),
+                            (CircleSymbolModel(r=0.5, alpha=-0.5), "alpha > 0")):
+            with pytest.raises(DomainError, match=what):
+                explicit_count(model, 0.1, 1.0)
+            with pytest.raises(DomainError, match=what):
+                explicit_trace(model, power_phi(1.0))
 
     def test_truncation_soundness(self):
-        # Doubling the cutoff must not move any reported eigenvalue in the
-        # window [1e-9 lambda_max, lambda_max].
+        # Doubling the default order of the constant-symbol matrix must not
+        # move any eigenvalue in the window [1e-9 lambda_max, lambda_max].
         model = CircleSymbolModel(r=0.5, alpha=200.0)
-        base = explicit_eigenvalues(model)
-        double = explicit_eigenvalues(model, cutoff=2 * base.cutoff_index)
-        lam_base = np.sort(base.eigenvalues)[::-1]
-        lam_double = np.sort(double.eigenvalues)[::-1]
+        lam_base = hermitian_eigenvalues(matrix_elements(model))
+        lam_double = hermitian_eigenvalues(
+            matrix_elements(model, cutoff=2 * (lam_base.size - 1)))
         window = lam_base >= lam_base[0] * 1e-9
         top_base = lam_base[window]
         top_double = lam_double[: top_base.size]
@@ -143,9 +151,9 @@ class TestExplicitEigenvalues:
     def test_high_precision_frozen_values(self):
         # 50-digit reference values for alpha=100, r=1/2 (peak and deep
         # tail), frozen from an exact-arithmetic evaluation with mpmath.
-        spec = explicit_eigenvalues(CircleSymbolModel(r=0.5, alpha=100.0))
-        assert spec.by_index[33] == pytest.approx(1.786285122586122712, rel=1e-12)
-        assert spec.by_index[150] == pytest.approx(4.003956646150914453e-30, rel=1e-11)
+        lam = _evaluated(CircleSymbolModel(r=0.5, alpha=100.0), 150)
+        assert lam[33] == pytest.approx(1.786285122586122712, rel=1e-12)
+        assert lam[150] == pytest.approx(4.003956646150914453e-30, rel=1e-11)
 
     def test_finite_alpha_norm_overshoot_envelope(self):
         # The peak eigenvalue approaches sup a/(1-r^2)^2 like
@@ -154,7 +162,7 @@ class TestExplicitEigenvalues:
         for r in (0.3, 0.5, 1 / math.sqrt(2)):
             for alpha in (1.0, 10.0, 100.0):
                 model = CircleSymbolModel(r=r, alpha=alpha)
-                lam_max = explicit_eigenvalues(model).eigenvalues.max()
+                lam_max = _evaluated(model, _long_index(model)).max()
                 envelope = model.norm_bound * math.sqrt((alpha + 1.0) / alpha)
                 assert lam_max <= envelope * (1.0 + 1e-9)
 
@@ -218,23 +226,6 @@ def _long_index(model):
     return m_star + step
 
 
-def _gammaln_count(r, alpha, t1, t2):
-    # Normalized eigenvalues in [t1, t2] from scipy's gammaln, over indices
-    # doubled until the last value is below t1 / e (they fall past the peak),
-    # and the smallest relative distance of a value to t1 or t2.
-    m = np.arange(2 * largest_eigenvalue_index(r, alpha) + 4)
-    log_t = np.array([math.log(t1), math.log(t2)])
-    while True:
-        ln = (0.5 * math.log(2 * math.pi / alpha) + (alpha - 1) * math.log1p(-r * r)
-              + gammaln(alpha + m + 2) - gammaln(alpha + 1) - gammaln(m + 1)
-              + (2 * m + 1) * math.log(r))
-        if ln[-1] < log_t[0] - 1.0:
-            break
-        m = np.arange(2 * m.size)
-    count = int(np.sum((ln >= log_t[0]) & (ln <= log_t[1])))
-    return count, float(np.min(np.abs(np.expm1(ln[:, None] - log_t))))
-
-
 def _threshold(spec, model, kind, u):
     lam = spec.by_index
     if kind == 0:
@@ -252,33 +243,28 @@ class TestExplicitCount:
     # Hypothesis favours small floats, so the large-weight corners and the
     # exact peak tie at r = 1/sqrt(2) are pinned as explicit examples.
     @PROPERTY
-    @example(r=0.95, log_alpha=5.0, cut_scale=None,
+    @example(r=0.95, log_alpha=5.0,
              picks=[(0, 0.0, 1, 0.0), (2, 0.5, 0, 0.0), (3, 0.4, 4, 0.3)])
-    @example(r=1 / math.sqrt(2), log_alpha=5.0, cut_scale=None,
+    @example(r=1 / math.sqrt(2), log_alpha=5.0,
              picks=[(0, 0.0, 0, 0.0), (4, 0.01, 2, 0.9), (2, 0.2, 3, 0.2)])
-    @example(r=0.5, log_alpha=5.0, cut_scale=0.3,
-             picks=[(4, 0.2, 1, 0.0), (2, 0.1, 2, 0.3)])
-    @example(r=0.05, log_alpha=0.0, cut_scale=0.0, picks=[(4, 1.0, 1, 0.0)])
     @given(r=st.floats(0.05, 0.95), log_alpha=st.floats(0.0, 5.0),
-           cut_scale=st.one_of(st.none(), st.floats(0.0, 2.0)),
            picks=st.lists(st.tuples(st.integers(0, 4), st.floats(0.0, 1.0),
                                     st.integers(0, 4), st.floats(0.0, 1.0)),
                           min_size=1, max_size=8))
-    def test_matches_full_spectrum_count(self, r, log_alpha, cut_scale, picks):
-        # Without a cutoff the oracle spectrum runs until every value is
-        # below the smallest normal float, and a threshold is kept at least
-        # that: a lower t1 is refused.
+    def test_matches_full_spectrum_count(self, r, log_alpha, picks):
+        # The windowed count against eigen_count over the library's own
+        # values at every index until they fall below the smallest normal
+        # float, each threshold kept at least that (a lower t1 is refused).
+        # Thresholds sit exactly on computed values, which only the same
+        # evaluator reproduces; test_open_count_matches_gammaln checks the
+        # counts against an independent spectrum.
         model = CircleSymbolModel(r=r, alpha=10.0 ** log_alpha)
-        long = _long_index(model)
-        cutoff = None if cut_scale is None else int(cut_scale * long)
-        spec = explicit_eigenvalues(model, cutoff=long if cutoff is None else cutoff)
-        floor = sys.float_info.min if cutoff is None else -math.inf
+        spec = gammaln_spectrum.truncation(_evaluated(model, _long_index(model)), model)
         for k1, u1, k2, u2 in picks:
-            t1 = max(_threshold(spec, model, k1, u1), floor)
-            t2 = max(_threshold(spec, model, k2, u2), floor)
+            t1 = max(_threshold(spec, model, k1, u1), sys.float_info.min)
+            t2 = max(_threshold(spec, model, k2, u2), sys.float_info.min)
             for lo, hi in ((t1, t2), (t2, t1)):
-                assert explicit_count(model, lo, hi, cutoff=cutoff) == \
-                    eigen_count(spec, lo, hi)
+                assert explicit_count(model, lo, hi) == eigen_count(spec, lo, hi)
 
     @PROPERTY
     @example(r=0.95, log_alpha=5.0)
@@ -286,8 +272,9 @@ class TestExplicitCount:
     @example(r=0.6, log_alpha=4.3)
     @given(r=st.floats(0.05, 0.95), log_alpha=st.floats(0.0, 5.0))
     def test_log_eigenvalues_unimodal(self, r, log_alpha):
-        # The windowed count and the cutoff rule rely on the computed values
-        # rising to a peak at m* (or m* - 1 at a tie) and falling after it.
+        # The windowed count and the default matrix order rely on the
+        # computed values rising to a peak at m* (or m* - 1 at a tie) and
+        # falling after it.
         model = CircleSymbolModel(r=r, alpha=10.0 ** log_alpha)
         ln = _log_eigenvalues(model, np.arange(_long_index(model) + 1))
         peak = int(np.argmax(ln))
@@ -319,9 +306,7 @@ class TestExplicitCount:
         r, a = model.r, model.alpha
 
         def log_lam(m):
-            return (0.5 * math.log(2 * math.pi / a) + (a - 1) * math.log(1 - r * r)
-                    + gammaln(a + m + 2) - gammaln(a + 1) - gammaln(m + 1)
-                    + (2 * m + 1) * math.log(r))
+            return gammaln_spectrum.log_eigenvalues(r, a, m)
 
         def crossing(lo, hi, t):
             # first index in (lo, hi] where log_lam >= log t switches state
@@ -343,10 +328,12 @@ class TestExplicitCount:
         assert got > 5e5
 
     def test_near_unit_radius_spectrum_refused(self):
+        # The only array of the spectrum is the matrix diagonal; its order
+        # is refused at the cap, before it is allocated.
         model = CircleSymbolModel(r=0.999, alpha=1e5)
         assert largest_eigenvalue_index(model.r, model.alpha) + 1 > MAX_SPECTRUM_TERMS
         with pytest.raises(DomainError, match="cap"):
-            explicit_eigenvalues(model)
+            matrix_elements(model)
 
     @PROPERTY
     @given(r=st.floats(0.05, 0.95), log_alpha=st.floats(0.0, 4.0),
@@ -359,7 +346,7 @@ class TestExplicitCount:
         model = CircleSymbolModel(r=r, alpha=alpha)
         t1 = model.norm_bound * 10.0 ** lo
         t2 = min(t1 * 10.0 ** width, model.norm_bound * (1.0 - 1e-9))
-        want, margin = _gammaln_count(r, alpha, t1, t2)
+        want, margin = gammaln_spectrum.count(r, alpha, t1, t2)
         assume(margin > 1e-9)
         assert explicit_count(model, t1, t2) == want
 
@@ -367,7 +354,7 @@ class TestExplicitCount:
         # Every eigenvalue down to 1e-300: 13,632 of them lie past index
         # 48,920, where lambda is already 2e-34.
         model = CircleSymbolModel(r=0.9, alpha=1e4)
-        want, margin = _gammaln_count(0.9, 1e4, 1e-300, 27.7)
+        want, margin = gammaln_spectrum.count(0.9, 1e4, 1e-300, 27.7)
         assert margin > 1e-9
         assert explicit_count(model, 1e-300, 27.7) == want == 35420
 
@@ -376,21 +363,21 @@ class TestExplicitCount:
         for t1 in (0.0, -1.0, math.nan, math.inf, 1e-320, sys.float_info.min / 2):
             with pytest.raises(DomainError, match="smallest normal"):
                 explicit_count(model, t1, 1.0)
-        # a cutoff bounds the count, and an empty interval counts nothing
-        spec = explicit_eigenvalues(model, cutoff=300)
-        assert explicit_count(model, 0.0, 1.0, cutoff=300) == eigen_count(spec, 0.0, 1.0)
+        # an empty interval counts nothing
         assert explicit_count(model, sys.float_info.min, 0.0) == 0
 
     def test_rejects_fourier_symbol_and_negative_cutoff(self):
         with pytest.raises(DomainError):
             explicit_count(CircleSymbolModel(r=0.5, alpha=5.0, fourier=(1.0, 0.2)), 0.1, 1.0)
-        with pytest.raises(DomainError):
+        # a count takes every eigenvalue: there is no truncation index to pass
+        with pytest.raises(TypeError, match="cutoff"):
             explicit_count(CircleSymbolModel(r=0.5, alpha=5.0), 0.1, 1.0, cutoff=-1)
 
 
-def _spectrum_sum(model, phi, cutoff):
+def _spectrum_sum(model, phi, last):
+    # phi summed over the library's values at every index 0..last.
     with np.errstate(under="ignore"):
-        return float(np.sum(phi(explicit_eigenvalues(model, cutoff=cutoff).eigenvalues)))
+        return float(np.sum(phi(_evaluated(model, last))))
 
 
 def _record_indices(monkeypatch):
@@ -418,27 +405,19 @@ class TestExplicitTrace:
     @given(r=st.floats(0.05, 0.95), log_alpha=st.floats(0.0, 5.0),
            p=st.one_of(st.floats(0.05, 3.0), st.none()))
     def test_matches_full_spectrum_sum(self, r, log_alpha, p):
-        # The full sum runs to a cutoff far past the window: 50 widths of
+        # The full sum runs to an index far past the window: 50 widths of
         # lambda^p beyond the peak, plus the geometric tail of ratio r^2.
+        # Both sums take the same computed values, so 1e-13 bounds the
+        # omitted tails and the summation order; an independent spectrum
+        # differs by more at large alpha (see gammaln_spectrum).
         model = CircleSymbolModel(r=r, alpha=10.0 ** log_alpha)
         phi = poly_phi([0.5, 0.2, 1.0]) if p is None else power_phi(p)
         q = phi.p_exponent
         sigma = math.sqrt(model.alpha + 2.0) * r / (1.0 - r * r)
-        cutoff = (largest_eigenvalue_index(r, model.alpha)
-                  + math.ceil(50.0 * sigma / math.sqrt(q) + 400.0 / (q * (1.0 - r * r))))
-        want = _spectrum_sum(model, phi, cutoff)
+        last = (largest_eigenvalue_index(r, model.alpha)
+                + math.ceil(50.0 * sigma / math.sqrt(q) + 400.0 / (q * (1.0 - r * r))))
+        want = _spectrum_sum(model, phi, last)
         assert abs(explicit_trace(model, phi) - want) <= 1e-13 * want
-
-    @pytest.mark.parametrize("r, alpha", [(0.5, 200.0), (0.75, 1e4), (0.3, 2.0)])
-    def test_cutoff_truncates_as_the_spectrum(self, r, alpha):
-        model = CircleSymbolModel(r=r, alpha=alpha)
-        m_star = largest_eigenvalue_index(r, alpha)
-        for phi in (power_phi(0.05), power_phi(2.0), poly_phi([1.0, 0.5])):
-            for cutoff in (0, 3, m_star // 2, m_star, m_star + 40,
-                           explicit_eigenvalues(model).cutoff_index):
-                want = _spectrum_sum(model, phi, cutoff)
-                got = explicit_trace(model, phi, cutoff=cutoff)
-                assert abs(got - want) <= 1e-13 * want, (phi, cutoff)
 
     def test_one_log_gamma_call_per_row_under_a_chunk(self, monkeypatch):
         # The pow:1 windows (about 160 to 1.2e3 indices) take one call a
@@ -492,8 +471,6 @@ class TestExplicitTrace:
             explicit_trace(CircleSymbolModel(r=0.5, alpha=5.0, fourier=(1.0, 0.2)), phi)
         with pytest.raises(DomainError, match="alpha > 0"):
             explicit_trace(CircleSymbolModel(r=0.5, alpha=0.0), phi)
-        with pytest.raises(DomainError, match="nonnegative"):
-            explicit_trace(CircleSymbolModel(r=0.5, alpha=5.0), phi, cutoff=-1)
 
 
 class TestMatrixElements:
@@ -591,11 +568,9 @@ class TestMatrixElements:
     @pytest.mark.parametrize("alpha", [1.0, 10.0, 100.0])
     def test_spectrum_matches_explicit(self, r, alpha):
         model = CircleSymbolModel(r=r, alpha=alpha)
-        cut = explicit_eigenvalues(model).cutoff_index
-        mat = matrix_elements(model, cutoff=cut)
-        spec_matrix = hermitian_eigenvalues(mat)
-        spec_explicit = np.sort(explicit_eigenvalues(model, cutoff=cut).eigenvalues)[::-1] \
-            * math.sqrt(2 * math.pi * alpha)
+        spec_matrix = hermitian_eigenvalues(matrix_elements(model))
+        log_lam = gammaln_spectrum.log_eigenvalues(r, alpha, np.arange(spec_matrix.size))
+        spec_explicit = np.sort(np.exp(log_lam))[::-1] * math.sqrt(2 * math.pi * alpha)
         # compare entrywise above the subnormal floor
         mask = spec_explicit > spec_explicit[0] * 1e-200
         a = spec_matrix[mask]
@@ -830,13 +805,13 @@ class TestCompositionTrace:
     def test_matches_eigenvalue_sum_m2(self):
         model = CircleSymbolModel(r=0.5, alpha=20.0)
         got = composition_trace_quadrature(model, 2)
-        lam = explicit_eigenvalues(model).eigenvalues * math.sqrt(2 * math.pi * 20.0)
+        lam = np.exp(gammaln_spectrum.log_spectrum(0.5, 20.0)) * math.sqrt(2 * math.pi * 20.0)
         assert got == pytest.approx(float(np.sum(lam ** 2)), rel=1e-8)
 
     def test_matches_eigenvalue_sum_m3(self):
         model = CircleSymbolModel(r=0.4, alpha=15.0)
         got = composition_trace_quadrature(model, 3)
-        lam = explicit_eigenvalues(model).eigenvalues * math.sqrt(2 * math.pi * 15.0)
+        lam = np.exp(gammaln_spectrum.log_spectrum(0.4, 15.0)) * math.sqrt(2 * math.pi * 15.0)
         assert got == pytest.approx(float(np.sum(lam ** 3)), rel=1e-7)
 
     def test_fourier_symbol_matches_matrix_moments(self):
@@ -938,10 +913,9 @@ class TestCompositionTrace:
         # / (Gamma(alpha+1) k!) r^(2k+1) from scipy, summed far past the peak
         # (ratio below 2/3 there); the log-gammas of this reference cancel
         # from about 1e6 at alpha = 1e5, hence 1e-8.
-        k = np.arange(3 * largest_eigenvalue_index(r, alpha) + 2000, dtype=float)
-        log_d = (math.log(2.0 * math.pi) + (alpha - 1.0) * math.log1p(-r * r)
-                 + gammaln(alpha + k + 2.0) - gammaln(alpha + 1.0) - gammaln(k + 1.0)
-                 + (2.0 * k + 1.0) * math.log(r))
+        k = np.arange(3 * largest_eigenvalue_index(r, alpha) + 2000)
+        log_d = (gammaln_spectrum.log_eigenvalues(r, alpha, k)
+                 + 0.5 * math.log(2.0 * math.pi * alpha))
         for m in range(2, 7):
             want = float(np.sum(np.exp(m * log_d)))
             got = composition_trace_quadrature(CircleSymbolModel(r=r, alpha=alpha), m)

@@ -202,19 +202,21 @@ def cmd_scan(args) -> int:
         raise DomainError("scan requires --alpha")
     alphas = parse_alpha_list(args.alpha)
     template = CircleSymbolModel(r=args.r, alpha=alphas[0])
-    if args.phi is not None:
-        rows = convergence_scan(template, alphas, phi=parse_phi(args.phi))
+    phi = None if args.phi is None else parse_phi(args.phi)
+    interval = None if args.t1 is None and args.t2 is None else (args.t1, args.t2)
+    if phi is None and (interval is None or None in interval):
+        raise DomainError("scan needs --phi or both --t1 and --t2")
+    # convergence_scan refuses a phi together with an interval
+    rows = convergence_scan(template, alphas, phi=phi, interval=interval)
+    if phi is not None:
         emit(("alpha", "lhs_scaled", "rhs_limit"),
              [(r.alpha, r.lhs_scaled, r.rhs_limit) for r in rows],
              args.format, args.out)
-    elif args.t1 is not None and args.t2 is not None:
-        rows = convergence_scan(template, alphas, interval=(args.t1, args.t2))
+    else:
         emit(("alpha", "count", "predicted_count", "scaled_count", "limit"),
              [(r.alpha, r.count_n, r.rhs_asymptotic_count, r.lhs_scaled,
                r.rhs_limit) for r in rows],
              args.format, args.out)
-    else:
-        raise DomainError("scan needs --phi or both --t1 and --t2")
     return EXIT_OK
 
 
@@ -284,9 +286,10 @@ def cmd_trace_compare(args) -> int:
     # The eigenvalue side first: past its window cap it fails before the
     # quadrature runs.  sum d^m = (2 pi alpha)^(m/2) sum lambda^m over the
     # normalized eigenvalues lambda.
+    eig_trace = explicit_trace(model, power_phi(m))
     try:
         with np.errstate(over="ignore"):
-            eig_sum = (2.0 * math.pi * alpha) ** (m / 2) * explicit_trace(model, power_phi(m))
+            eig_sum = (2.0 * math.pi * alpha) ** (m / 2) * eig_trace
     except OverflowError:  # the float power, past the float range
         eig_sum = math.inf
     if not math.isfinite(eig_sum):

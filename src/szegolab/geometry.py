@@ -211,16 +211,16 @@ def skew_half_spectrum(G: np.ndarray, H: np.ndarray) -> np.ndarray:
     """The values lambda_k >= 0 of the +-i*lambda_k eigenvalue pairs of G^{-1}H.
 
     Works on the congruent real skew-symmetric problem: with G = L L^T,
-    K = L^{-1} H L^{-T} is skew and similar to W, and -K^2 is symmetric
-    positive semidefinite with each lambda^2 doubled.  Returns floor(d/2)
-    values sorted descending (zeros included).
+    K = L^{-1} H L^{-T} is skew and similar to W, so the Hermitian iK has
+    the eigenvalues +-lambda_k (and a zero for odd d); its top floor(d/2),
+    clipped at 0, are exact to about 1e-16 of the largest, where squaring
+    K would lose half the digits of a small lambda.  Returns them sorted
+    descending (zeros included).
     """
     L = np.linalg.cholesky(G)
     K = np.linalg.solve(L, np.linalg.solve(L, H).T).T
     K = 0.5 * (K - K.T)
-    vals = hermitian_eigenvalues(-K @ K)
-    lam_sq = np.clip(vals, 0.0, None)
-    return np.sqrt(lam_sq[0::2][: G.shape[0] // 2])
+    return np.clip(hermitian_eigenvalues(1j * K)[: G.shape[0] // 2], 0.0, None)
 
 
 @dataclass(frozen=True)

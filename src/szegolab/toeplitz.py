@@ -91,6 +91,8 @@ class CircleSymbolModel:
             coeffs = tuple(complex(c) for c in self.fourier)
             if not coeffs:
                 raise DomainError("fourier coefficient list must not be empty")
+            if not np.all(np.isfinite(coeffs)):
+                raise DomainError(f"fourier coefficients must be finite, got {coeffs}")
             if abs(coeffs[0].imag) > 1e-14 * max(1.0, abs(coeffs[0])):
                 raise DomainError("zeroth Fourier coefficient must be real")
             object.__setattr__(self, "fourier", coeffs)
@@ -240,11 +242,6 @@ def _log_eigenvalues(model: CircleSymbolModel, m) -> np.ndarray:
     return _log_diagonal(model, m, 0.5 * math.log(2.0 * math.pi / model.alpha))
 
 
-def _eigenvalues_at(model: CircleSymbolModel, m) -> np.ndarray:
-    with np.errstate(under="ignore"):
-        return np.exp(_log_eigenvalues(model, m))
-
-
 def _check_explicit(model: CircleSymbolModel) -> None:
     """DomainError unless the explicit formula applies: symbol 1, alpha > 0."""
     if not model.is_constant_one:
@@ -262,14 +259,23 @@ def _at_norm_bound(t2: float, norm_bound: float) -> bool:
     return t2 >= norm_bound * (1.0 - 1e-12)
 
 
+def _check_index(m: int) -> None:
+    # _log_diagonal takes float indices, exact only up to 2^53; past there
+    # neighbours round together and no window search resolves them.
+    if m > 2 ** 53:
+        raise DomainError(f"the window search would reach index {m}, past 2^53 "
+                          f"where float indices stop being exact")
+
+
 def _bracket_probes(lo: int, hi: int) -> np.ndarray:
     """Indices strictly inside (lo, hi) for one level of k-ary refinement.
 
     Up to _MAX_PROBES + 1 gaps every index is probed.  A wider bracket needs
     L = ceil(log_{_MAX_PROBES+1}(gaps)) levels; it gets about gaps^(1/L)
     evenly spread probes, so its remaining levels stay at L - 1 at a fraction
-    of the probes.
+    of the probes.  DomainError for hi > 2^53 (``_check_index``).
     """
+    _check_index(hi)
     gaps = hi - lo
     if gaps <= _MAX_PROBES + 1:
         return np.arange(lo + 1, hi)
@@ -294,43 +300,74 @@ def _narrow(bracket: list, idx: np.ndarray, lam: np.ndarray) -> None:
         bracket[1] = int(q[j])
 
 
+def _log_ratio_bound(model: CircleSymbolModel, c: int, k: int) -> float:
+    """Closed-form upper bound on log(lambda_(c+k)/lambda_c), any c and k != 0.
+
+    D(m) = log(lambda_(m+1)/lambda_m) = log(r^2 (alpha+m+2)/(m+1)) falls and is
+    convex for alpha > -1 (D'' = 1/(m+1)^2 - 1/(alpha+m+2)^2 > 0), so the sum
+    of D over c..c+k-1 is at most the chord (k/2)(D(c) + D(c+k-1)), and minus
+    the sum over c+k..c-1 (k < 0) at most k D(c+(k-1)/2) by Jensen's
+    inequality.  k = +-1 gives D(c) and -D(c-1) exactly.
+    """
+    q, a = model.r * model.r, model.alpha
+    m = c + k - 1.0 if k > 0 else c + 0.5 * (k - 1)
+    d_m = math.log(q * (a + m + 2.0) / (m + 1.0))
+    return 0.5 * k * (math.log(q * (a + c + 2.0) / (c + 1.0)) + d_m) if k > 0 else k * d_m
+
+
+def _first_width(model: CircleSymbolModel, drop: float) -> int:
+    # Where log lambda falls by ``drop`` from m*: the pmf's width sqrt(2 drop) sigma,
+    # sigma = sqrt(alpha+2) r/(1-r^2), plus its first-order skewness term; at least 1.
+    r, a = model.r, model.alpha
+    return max(math.ceil(math.sqrt(2.0 * drop * (a + 2.0)) * r / (1.0 - r * r)
+                         + drop * (1.0 + r * r) / (3.0 * (1.0 - r * r))), 1)
+
+
+def _reach(g, k: int, drop: float) -> int:
+    # The first k from the guess k up with g(k) < 0, g decreasing: Newton steps of
+    # at least one index, the first on the slope -2 drop/k of a Gaussian falling
+    # by drop over k, then secants.
+    v, slope = g(k), -2.0 * drop / k
+    while v >= 0.0:
+        j, u = k, v
+        k += math.floor(v / -slope) + 1 if slope < 0.0 else 1
+        v = g(k)
+        slope = (v - u) / (k - j)
+    return k
+
+
+@np.errstate(under="ignore")
 def _window_ends(model: CircleSymbolModel, thresholds, relative: bool = False) -> list:
     """Ends (first, last) of {m >= 0 : lambda_m >= t} for each t, a positive
-    normal float.
+    normal float; (0, -1) for an empty set.  With ``relative`` each t is a
+    fraction of the peak value.
 
-    An empty set gives (0, -1).  lambda_{m+1}/lambda_m = r^2 (alpha+m+2)/(m+1)
-    decreases in m, so the set is one index interval around the peak.  Its
-    ends are found on the rising side [0, peak] and the falling side of every
-    threshold at once: each level probes all open brackets through one
-    ``_log_diagonal`` call.  With ``relative`` each t is a fraction of the
-    peak value.
-
-    The ratio is at most c = (1+r^2)/2 from the index m1 on, so
-    lambda_m <= lambda_m1 c^(m-m1) there; the first call evaluates m1, and a
-    falling-side bracket closes at m1 when lambda_m1 < t, else one index
-    past m1 + log(lambda_m1/t)/log(1/c), where that bound is below t.
+    The ratio of successive eigenvalues falls, so the set is one index
+    interval around the peak.  The rising bracket [-1, peak] and the falling
+    bracket [peak, peak + k + 1] of every t are refined together, one
+    ``_log_diagonal`` call per level; the first holds the indices next to m*
+    and probes up to m1 = ceil((r^2 (2 alpha + 3) - 1)/(1 - r^2)).  k is the
+    first from the guess ``_first_width`` up with ``_log_ratio_bound(peak, k)``
+    < log(t/lambda_peak), so lambda_(peak+k) < t; one index more takes the end
+    a factor exp(D(peak+k)) lower, below a t within rounding of lambda_(peak+k).
     """
     r, a = model.r, model.alpha
     m_star = largest_eigenvalue_index(r, a)
-    # ratio(m) <= c  <=>  m >= (r^2 (2 alpha + 3) - 1)/(1 - r^2)
-    p = (1.0 - r) * (1.0 + r)
-    end = max(math.ceil((r * r * (2.0 * a + 3.0) - 1.0) / p), m_star + 1)
+    end = max(math.ceil((r * r * (2.0 * a + 3.0) - 1.0) / ((1.0 - r) * (1.0 + r))), m_star + 1)
     near = np.arange(max(m_star - 1, 0), m_star + 2)
     idx = np.unique(np.concatenate(
         (near, _bracket_probes(-1, m_star), _bracket_probes(m_star, end), [end])))
-    lam = _eigenvalues_at(model, idx)
+    lam = np.exp(_log_eigenvalues(model, idx))
     at_near = lam[np.searchsorted(idx, near)]
     peak, top = int(near[np.argmax(at_near)]), float(at_near.max())
     if relative:
         thresholds = [t * top for t in thresholds]
-    lam_end = float(lam[np.searchsorted(idx, end)])
-    log_c = math.log1p(-0.5 * p)
 
     def falling(t: float) -> list:
-        if lam_end >= t:
-            steps = (math.log(lam_end) - math.log(t)) / -log_c
-            return [end, end + 1 + math.ceil(steps), t, False]
-        return [peak, end, t, False]
+        drop = math.log(top) - math.log(t)
+        k = _reach(lambda k: _log_ratio_bound(model, peak, k) + drop,
+                   _first_width(model, drop), drop)
+        return [peak, peak + k + 1, t, False]
 
     pairs = [([-1, peak, t, True], falling(t)) if top >= t else None for t in thresholds]
     open_ = [b for pair in pairs if pair for b in pair]
@@ -340,7 +377,7 @@ def _window_ends(model: CircleSymbolModel, thresholds, relative: bool = False) -
         open_ = [b for b in open_ if b[1] - b[0] > 1]
         if open_:
             idx = np.unique(np.concatenate([_bracket_probes(b[0], b[1]) for b in open_]))
-            lam = _eigenvalues_at(model, idx)
+            lam = np.exp(_log_eigenvalues(model, idx))
     # first index >= t on the rising side is its hi; last on the falling side its lo
     return [(pair[0][1], pair[1][0]) if pair else (0, -1) for pair in pairs]
 
@@ -370,98 +407,51 @@ def explicit_count(model: CircleSymbolModel, t1: float, t2: float) -> int:
     return at_least_t1 - above_t2
 
 
-def _tail_steps(log_end: float, ratio: float, p: float, log_window: float) -> int:
-    """Indices to add past a window end so that the omitted tail of sum lambda^p
-    is at most _TAIL_TOL exp(log_window); 0 when it already is.
-
-    ``ratio`` < 1 bounds every ratio of successive eigenvalues leaving the
-    window there, so the tail is at most lambda_end^p ratio^p / (1 - ratio^p),
-    and k more indices lower that bound by ratio^(p k) at least.
-    """
-    log_ratio = p * math.log(ratio)
-    excess = p * log_end + log_ratio - math.log(-math.expm1(log_ratio)) \
-        - math.log(_TAIL_TOL) - log_window
-    return 0 if excess <= 0.0 else math.ceil(excess / -log_ratio)
-
-
 def explicit_trace(model: CircleSymbolModel, phi) -> float:
     """Sum of phi over the explicit spectrum, without building it.
 
-    The sum runs over one index window [first, last] around the peak m*,
-    evaluated _CHUNK indices per ``_log_diagonal`` call, so memory stays
-    bounded by the chunk.  With p = ``phi.p_exponent`` and
-    sigma = sqrt(alpha+2) r/(1-r^2) the width of the negative-binomial pmf,
-    the first window reaches sigma sqrt(2 ln(1/tol)/p) past m* on each side,
-    tol = 2^-53, plus a skewness term for the heavier right tail.
-
-    Tail bound: past ``last`` the ratio q = r^2 (alpha+last+2)/(last+1) of
-    successive eigenvalues is below 1 and decreasing, so the omitted sum of
-    lambda^p is at most lambda_last^p q^p/(1-q^p); below ``first`` the ratio
-    rho = first/(r^2 (alpha+first+1)) of lambda_(first-1) to lambda_first is
-    below 1 and the ratios fall further as m decreases, so that tail is at
-    most lambda_first^p rho^p/(1-rho^p).  A side whose bound exceeds tol times
-    the window's sum of lambda^p grows by the indices the geometric bound
-    says it needs, and only the new indices are evaluated.  The omitted part
-    of sum phi(lambda) is then at most sup |phi(s)/s^p| times 2 tol times that
-    sum, the sup over the omitted eigenvalues, which lie below both end
-    values; the ``PhiFunction`` contract keeps it finite, and for
-    ``power_phi(p)`` it is exactly 1.  Both bounds are formed from
-    log lambda, as the ends lie below 1e-308 for small p.
-
-    Raises DomainError, before evaluating, when the window would exceed
-    MAX_SPECTRUM_TERMS indices.
+    One index window around m*, sized before any evaluation, is summed
+    _CHUNK indices per ``_log_diagonal`` call.  With p = ``phi.p_exponent``,
+    tol = 2^-53 and B, D as in ``_log_ratio_bound``, each side ends k from
+    m* (the lower side stops at 0), the first k from the guess
+    ``_first_width`` up with p B(m*, +-k) + log(d/(1-d)) < log tol, where
+    d = exp(p D(m*+k)) above and exp(-p D(m*-k-1)) below.  As D falls, d
+    bounds every ratio of successive lambda^p leaving the window, so each
+    omitted tail of sum lambda^p is at most the end term times d/(1-d),
+    which B puts below tol lambda_m*^p, below tol times the window's sum.
+    The omitted part of sum phi(lambda) is then at most 2 tol times that sum
+    times sup |phi(s)/s^p| over the omitted eigenvalues, finite by the
+    ``PhiFunction`` contract and 1 for ``power_phi(p)``.  DomainError, before
+    evaluating, for a window above MAX_SPECTRUM_TERMS indices or one whose
+    guess reaches past index 2^53 (``_check_index``).
     """
     _check_explicit(model)
-    r, a, p = model.r, model.alpha, phi.p_exponent
-    m_star = largest_eigenvalue_index(r, a)
-    # The Gaussian half-width plus the skewness term of the heavier right
-    # tail: p log(lambda_peak/lambda_(m*+k)) = y^2/2 - g y^3/6 at k = sigma y,
-    # g = (1+r^2)/(sigma (1-r^2)), equals ln(1/tol) at k = sigma y0 +
-    # sigma g y0^2/6 to first order in g, y0 = sqrt(2 ln(1/tol)/p).
-    sigma = math.sqrt(a + 2.0) * r / (1.0 - r * r)
-    log_tol = -math.log(_TAIL_TOL)
-    half = math.ceil(sigma * math.sqrt(2.0 * log_tol / p)
-                     + log_tol * (1.0 + r * r) / (3.0 * p * (1.0 - r * r)))
-    first, last = max(m_star - half, 0), m_star + half
-    # total = sum phi(lambda); sum lambda^p = exp(p log_top) power, with
-    # log_top the largest log lambda evaluated so far.
-    total, power, log_top = 0.0, 0.0, -math.inf
+    p = phi.p_exponent
+    m_star = largest_eigenvalue_index(model.r, model.alpha)
+    log_tol = math.log(_TAIL_TOL)
 
-    def add(lo: int, hi: int) -> tuple:
-        # Adds [lo, hi] to the sums; returns log lambda at lo and at hi.
-        nonlocal total, power, log_top
-        for start in range(lo, hi + 1, _CHUNK):
-            ln = _log_eigenvalues(model, np.arange(start, min(start + _CHUNK, hi + 1)))
-            if start == lo:
-                log_lo = float(ln[0])
-            top = float(ln.max())
-            if top > log_top:
-                power *= math.exp(p * (log_top - top))
-                log_top = top
-            with np.errstate(under="ignore"):
-                total += float(np.sum(phi(np.exp(ln))))
-                power += float(np.sum(np.exp(p * (ln - log_top))))
-        return log_lo, float(ln[-1])
+    def excess(k: int) -> float:
+        log_d = p * _log_ratio_bound(model, m_star + k, 1 if k > 0 else -1)
+        if not log_d < 0.0:   # near 2^53 a ratio next to m* can round to 1 or more
+            raise DomainError(f"the eigenvalue ratio at index {m_star + k} does not "
+                              f"resolve below 1 in floats (alpha={model.alpha:g}, p={p:g})")
+        return p * _log_ratio_bound(model, m_star, k) + log_d - math.log(-math.expm1(log_d)) \
+            - log_tol
 
-    pending = [(first, last)]   # index ranges of the window not yet evaluated
-    while pending:
-        if last - first + 1 > MAX_SPECTRUM_TERMS:
-            raise DomainError(
-                f"trace window would hold {last - first + 1} terms, above the cap of "
-                f"{MAX_SPECTRUM_TERMS} (r={r:g}, alpha={a:g}, p={p:g})")
-        for lo, hi in pending:
-            log_lo, log_hi = add(lo, hi)
-            if lo == first:
-                log_first = log_lo
-            if hi == last:
-                log_last = log_hi
-        log_window = p * log_top + math.log(power)
-        lo_steps = 0 if first == 0 else min(first, _tail_steps(
-            log_first, first / (r * r * (a + first + 1.0)), p, log_window))
-        hi_steps = _tail_steps(log_last, r * r * (a + last + 2.0) / (last + 1.0), p, log_window)
-        pending = [(lo, hi) for lo, hi in ((first - lo_steps, first - 1),
-                                          (last + 1, last + hi_steps)) if lo <= hi]
-        first, last = first - lo_steps, last + hi_steps
+    guess = _first_width(model, -log_tol / p)
+    _check_index(m_star + guess)
+    last = m_star + _reach(excess, guess, -log_tol)
+    # -1.0: a window that reaches 0 omits nothing below it
+    first = max(m_star - _reach(lambda k: excess(-k) if k < m_star else -1.0, guess, -log_tol), 0)
+    if last - first + 1 > MAX_SPECTRUM_TERMS:
+        raise DomainError(
+            f"trace window would hold {last - first + 1} terms, above the cap of "
+            f"{MAX_SPECTRUM_TERMS} (r={model.r:g}, alpha={model.alpha:g}, p={p:g})")
+    total = 0.0
+    with np.errstate(under="ignore"):
+        for start in range(first, last + 1, _CHUNK):
+            ln = _log_eigenvalues(model, np.arange(start, min(start + _CHUNK, last + 1)))
+            total += float(np.sum(phi(np.exp(ln))))
     return total
 
 

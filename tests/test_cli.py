@@ -137,6 +137,24 @@ class TestScan:
         assert run(["scan", "--r", "0.5", "--alpha", "100"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_phi_with_an_interval_exit_2(self, tmp_path, capsys):
+        # One scan computes a trace or a count; an interval given with a phi,
+        # on the command line or in a config file, is refused, not dropped.
+        base = ["scan", "--r", "0.5", "--alpha", "100"]
+        assert run(base + ["--phi", "pow:1", "--t1", "0.5", "--t2", "1.5"]) == 2
+        assert run(base + ["--phi", "pow:1", "--t1", "0.5"]) == 2
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text("phi = pow:1\nt1 = 0.5\nt2 = 1.5\n")
+        assert run(base + ["--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("exactly one of phi or interval") == 3
+
+    def test_index_past_2_53_exit_2(self, capsys):
+        # m* ~ 3.3e19: the count's window search would probe indices that
+        # float arithmetic no longer tells apart.
+        assert run(["scan", "--r", "0.5", "--alpha", "1e20", "--t1", "0.5", "--t2", "1.7"]) == 2
+        assert "2^53" in capsys.readouterr().err
+
     def test_bad_alpha_list(self, capsys):
         assert run(["scan", "--r", "0.5", "--alpha", "ten", "--phi", "pow:1"]) == 2
 
@@ -152,10 +170,10 @@ class TestScan:
 
     def test_near_unit_radius(self, capsys):
         # m* ~ 5e7: the count is windowed, and so is the trace.  The pow:1
-        # window (about 2.7e6 indices) fits under the cap and matches the
+        # window (about 3.1e6 indices) fits under the cap and matches the
         # closed form sum lambda = 2 pi (alpha+1) r (1-r^2)^-3 / sqrt(2 pi
         # alpha) to the explicit spectrum's own error there; the pow:0.05
-        # window (about 1.3e7) is refused before it is evaluated.
+        # window (about 1.4e7) is refused before it is evaluated.
         assert run(["scan", "--r", "0.999", "--alpha", "1e5", "--t1", "1e4",
                     "--t2", "2e5", "--format", "csv"]) == 0
         assert int(capsys.readouterr().out.splitlines()[1].split(",")[1]) > 5e5
@@ -263,6 +281,16 @@ class TestChecks:
         # refuses it itself, with no numpy warning on the way.
         assert run(["trace-compare", "--m", "200", "--alpha", "1e3"]) == 2
         assert "eigenvalue sum of power 200 exceeds the float range" in capsys.readouterr().err
+
+    def test_trace_compare_large_power_at_small_r(self, capsys):
+        # At r = 0.1 the tail factor of the power-200 window is formed from
+        # p D = -782 and the sum (about 7e19) is in range: it is compared, not
+        # refused as an overflow.
+        assert run(["trace-compare", "--r", "0.1", "--alpha", "1", "--m", "200",
+                    "--format", "csv"]) == 0
+        rows = dict(line.split(",") for line in capsys.readouterr().out.split()[1:])
+        assert float(rows["rel_diff"]) < 1e-12
+        assert run(["scan", "--r", "0.1", "--alpha", "1", "--phi", "pow:200"]) == 0
 
     def test_trace_compare_refuses_oversized_spectrum_first(self, capsys):
         # The eigenvalue side's trace window (about 1.9e7 indices) is over

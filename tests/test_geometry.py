@@ -136,6 +136,20 @@ class TestPullbackForms:
         lams4 = skew_half_spectrum(pair4.G, pair4.H)
         assert np.allclose(lams4, [1.0, 1.0], atol=1e-8)
 
+    @pytest.mark.parametrize("small", [1e-9, 1e-12])
+    def test_small_lambda_keeps_its_digits(self, small):
+        # H = Q diag(J, small J) Q^T with G = I and Q a random rotation: the
+        # values are 1 and small, each within about 1e-16 absolute.  K^2
+        # holds small^2 below the rounding of 1, so a square root of its
+        # eigenvalue would keep at most half the digits of small.
+        j = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        h = np.zeros((4, 4))
+        h[:2, :2], h[2:, 2:] = j, small * j
+        q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))
+        lams = skew_half_spectrum(np.eye(4), q @ h @ q.T)
+        assert lams.shape == (2,)
+        assert abs(lams[0] - 1.0) < 1e-15 and abs(lams[1] - small) < 1e-15
+
     def test_degenerate_chart_raises(self):
         def collapsed(t):
             return np.array([0.25 * (t[0] + t[1]) + 0j])

@@ -64,6 +64,13 @@ class TestModelValidation:
         pert = CircleSymbolModel(r=0.5, alpha=5.0, fourier=(1.0, 0.25))
         assert pert.norm_bound == pytest.approx(1.5 * 16.0 / 9.0, rel=1e-6)
 
+    def test_fourier_coefficients_must_be_finite(self):
+        # a NaN would pass the negativity check, as every comparison with it
+        # is False, and fill the matrix with NaN
+        for fourier in ((1.0, math.nan), (math.inf, 0.1), (1.0, complex(0.0, math.inf))):
+            with pytest.raises(DomainError, match="finite"):
+                CircleSymbolModel(r=0.5, alpha=10.0, fourier=fourier)
+
     def test_symbol_values_real_series(self):
         m = CircleSymbolModel(r=0.5, alpha=5.0, fourier=(2.0, 0.3 + 0.1j))
         theta = np.linspace(0.0, 1.0, 7, endpoint=False)
@@ -350,6 +357,32 @@ class TestExplicitCount:
         assume(margin > 1e-9)
         assert explicit_count(model, t1, t2) == want
 
+    def test_thresholds_at_the_values_next_to_the_peak(self):
+        # A threshold on, or within rounding of, a computed value just past
+        # the peak, where the closed-form bound that ends the falling bracket
+        # is nearly exact: the count matches eigen_count over the same values.
+        rng = np.random.default_rng(11)
+        for r, log_alpha in zip(rng.uniform(0.05, 0.95, 40), rng.uniform(-1.0, 4.0, 40)):
+            model = CircleSymbolModel(r=r, alpha=10.0 ** log_alpha)
+            spec = gammaln_spectrum.truncation(_evaluated(model, _long_index(model)), model)
+            m_star = largest_eigenvalue_index(model.r, model.alpha)
+            for lam in spec.by_index[max(m_star - 2, 0):m_star + 8]:
+                for t in (lam, lam * (1.0 + 1e-15), lam * (1.0 - 1e-15)):
+                    assert explicit_count(model, t, model.norm_bound) == \
+                        eigen_count(spec, t, model.norm_bound)
+
+    def test_index_past_2_53_refused(self):
+        # _log_diagonal takes float indices, exact only up to 2^53: at
+        # alpha = 1e17 (m* ~ 3.3e16) neighbouring indices round together.
+        for alpha in (1e17, 1e20):
+            model = CircleSymbolModel(r=0.5, alpha=alpha)
+            with pytest.raises(DomainError, match="2\\^53"):
+                explicit_count(model, 0.5, 1.7)
+            with pytest.raises(DomainError, match="2\\^53"):
+                matrix_elements(CircleSymbolModel(r=0.5, alpha=alpha, fourier=(1.0, 0.1)))
+        # below 2^53 the window search runs
+        assert explicit_count(CircleSymbolModel(r=0.5, alpha=1e12), 0.5, 1.7) > 0
+
     def test_open_count_reaches_past_the_old_cutoff(self):
         # Every eigenvalue down to 1e-300: 13,632 of them lie past index
         # 48,920, where lambda is already 2e-34.
@@ -434,11 +467,12 @@ class TestExplicitTrace:
         assert len(sizes) > 1 and len(sizes) == math.ceil(sum(sizes) / toeplitz._CHUNK)
         assert sizes[:-1] == [toeplitz._CHUNK] * (len(sizes) - 1)
 
-    @pytest.mark.parametrize("shift", [-0.5, 0.5])
-    def test_extension_evaluates_only_new_indices(self, monkeypatch, shift):
-        # The first window is moved half its width off the peak, so one side
-        # must grow: every index is evaluated once, the evaluated set stays
-        # one interval, and the sum is the centred window's.
+    @pytest.mark.parametrize("shift", [-0.5, 0.0, 0.5])
+    def test_one_pass_over_a_fixed_window(self, monkeypatch, shift):
+        # The window is sized from closed-form bounds alone, before the first
+        # evaluation, and then evaluated once: every index once, one
+        # interval.  The bounds do not assume that the centre is the peak,
+        # so a centre moved half a window off it gives the same sum.
         model = CircleSymbolModel(r=0.6, alpha=3e3)
         phi = power_phi(0.3)
         want = explicit_trace(model, phi)
@@ -446,16 +480,47 @@ class TestExplicitTrace:
         sigma = math.sqrt(model.alpha + 2.0) * model.r / (1.0 - model.r ** 2)
         moved = m_star + int(shift * 8.57 * sigma / math.sqrt(phi.p_exponent))
         monkeypatch.setattr(toeplitz, "largest_eigenvalue_index", lambda r, a: moved)
-        calls = _record_indices(monkeypatch)
+        bound = toeplitz._log_ratio_bound
+        events = _record_indices(monkeypatch)   # the indices of each evaluation
+        monkeypatch.setattr(toeplitz, "_log_ratio_bound",
+                            lambda *args: events.append(None) or bound(*args))
         got = explicit_trace(model, phi)
-        seen = np.sort(np.concatenate(calls))
-        assert len(calls) > 1
+        start = next(i for i, e in enumerate(events) if e is not None)
+        assert all(e is not None for e in events[start:])
+        seen = np.concatenate(events[start:])
         assert np.array_equal(seen, np.arange(seen[0], seen[-1] + 1))
+        assert seen[0] <= moved <= seen[-1]
         assert abs(got - want) <= 1e-15 * want
 
+    @pytest.mark.parametrize("r, alpha, p", [
+        (0.95, 1.0, 0.05),    # a wide, skewed window of a small power
+        (0.05, 1e5, 1.0),     # the window reaches index 0
+        (0.99, 50.0, 1.0),    # r near 1: successive ratios near 1 far out
+        (0.5, 0.5, 3.0),      # a steep power at small alpha
+        (0.3, 2.0, 3.0),
+        (0.75, 1e4, 0.05),
+        (0.5, 1e5, 2.0)])     # large alpha: the bound is within 1.5x of the tails
+    def test_omitted_tails_below_the_tolerance(self, monkeypatch, r, alpha, p):
+        # Each omitted tail of sum lambda^p, summed from the same evaluator
+        # over indices far past the window, is at most 2^-53 of the peak
+        # index's lambda^p, so of the window's sum.
+        model = CircleSymbolModel(r=r, alpha=alpha)
+        calls = _record_indices(monkeypatch)
+        explicit_trace(model, power_phi(p))
+        first, last = int(calls[0][0]), int(calls[-1][-1])
+        m_star = largest_eigenvalue_index(r, alpha)
+        top = p * _log_eigenvalues(model, [m_star])[0]
+        far = last
+        while p * _log_eigenvalues(model, [far])[0] > top - 200.0:
+            far = 2 * far + 16
+        ln = p * _log_eigenvalues(model, np.arange(far + 1))
+        for tail in (ln[:first], ln[last + 1:]):
+            if tail.size:
+                assert math.log(np.sum(np.exp(tail - top))) <= math.log(2.0 ** -53)
+
     def test_window_above_the_cap_is_refused(self, monkeypatch):
-        # r = 0.999, alpha = 1e5: the pow:1 window (about 2.7e6 indices)
-        # fits under the cap, the pow:0.05 one (about 1.3e7) does not and is
+        # r = 0.999, alpha = 1e5: the pow:1 window (about 3.1e6 indices)
+        # fits under the cap, the pow:0.05 one (about 1.4e7) does not and is
         # refused before any evaluation.
         calls = _record_indices(monkeypatch)
         with pytest.raises(DomainError, match="cap"):
@@ -464,6 +529,29 @@ class TestExplicitTrace:
         monkeypatch.setattr(toeplitz, "MAX_SPECTRUM_TERMS", 1000)
         with pytest.raises(DomainError, match="cap of 1000"):
             explicit_trace(CircleSymbolModel(r=0.5, alpha=1e4), power_phi(1.0))
+
+    def test_index_past_2_53_refused(self, monkeypatch):
+        # Float indices are exact only up to 2^53: a window reaching past it
+        # is refused before any evaluation, as is one whose ratio of
+        # neighbours next to m* (~8.7e15 here) rounds to 1 at a huge power.
+        calls = _record_indices(monkeypatch)
+        for r, alpha, p in ((0.5, 1e300, 3.0), (0.995, 1e50, 1.0), (0.5, 1e25, 1e14)):
+            with pytest.raises(DomainError, match="2\\^53"):
+                explicit_trace(CircleSymbolModel(r=r, alpha=alpha), power_phi(p))
+        with pytest.raises(DomainError, match="does not resolve"):
+            explicit_trace(CircleSymbolModel(r=0.5, alpha=2.6e16), power_phi(1e300))
+        assert calls == []
+
+    @pytest.mark.parametrize("r, alpha, p", [(0.1, 1.0, 200.0), (0.1, 1.0, 1000.0),
+                                             (0.3, 10.0, 500.0)])
+    def test_large_power_at_small_r(self, r, alpha, p):
+        # p D(m) lies far below -709 next to m*, so the tail factor d/(1-d)
+        # is formed from log d without exponentiating -log d.
+        model = CircleSymbolModel(r=r, alpha=alpha)
+        phi = power_phi(p)
+        want = float(np.sum(phi(np.exp(_log_eigenvalues(model, np.arange(2000))))))
+        assert want > 0.0
+        assert abs(explicit_trace(model, phi) - want) <= 1e-15 * want
 
     def test_rejects_what_the_spectrum_rejects(self):
         phi = power_phi(1.0)
@@ -495,8 +583,8 @@ class TestMatrixElements:
     @pytest.mark.parametrize("r, alpha", [
         (0.3, 10.0), (0.3, 100.0), (0.3, 1e3), (0.5, 10.0), (0.5, 100.0), (0.5, 1e3),
         (0.7, 10.0), (0.7, 100.0), (0.7, 1e3),
-        # here the threshold lies past about 2 m*, where the ratio of successive
-        # values has dropped to (1+r^2)/2, so the bracket closes on its bound
+        # here the threshold lies past about 2 m*, in the geometric tail where
+        # the ratio of successive values has dropped to about (1+r^2)/2
         (0.95, 1.0)])
     @pytest.mark.parametrize("fourier", [(1.0, 0.3), (1.0, 0.2 + 0.1j, 0.1)])
     def test_default_order_is_the_row_rule(self, r, alpha, fourier):

@@ -197,11 +197,18 @@ def monomial_rhs_circle(r: float, m: int) -> float:
 
     Equals (2 pi r/(1-r^2)) (1-r^2)^{-2m} / sqrt(2m): the transformed
     monomial at the constant value 1/(1-r^2)^2 times the circle length.
+    DomainError for a value past the float range.
     """
     if m < 1:
         raise DomainError(f"monomial degree must be >= 1, got {m}")
     circumference = 2.0 * math.pi * r / (1.0 - r * r)
-    return circumference / ((1.0 - r * r) ** (2 * m) * math.sqrt(2.0 * m))
+    try:
+        value = circumference * (1.0 - r * r) ** (-2 * m) / math.sqrt(2.0 * m)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"monomial limit of degree {m} at r={r:g} exceeds the float range")
+    return value
 
 
 def szego_rhs(model: CircleSymbolModel, phi: PhiFunction) -> float:
@@ -340,28 +347,10 @@ def eigen_count(spectrum: SpectrumTruncation, t1: float, t2: float) -> int:
 def schatten_limit(model: CircleSymbolModel, p: float) -> float:
     """Limit of (pi/alpha)^{1/2p} times the p-Schatten norm, circle model.
 
-    ((1/(2p)^{1/2}) int (a(xi)(1-|xi|^2)^{-2})^p dsigma)^{1/p}; constant
-    symbols are exact, Fourier symbols use the periodic trapezoid (doubled
-    once as a guard, spectrally accurate for trigonometric polynomials).
+    ((1/(2p)^{1/2}) int (a(xi)(1-|xi|^2)^{-2})^p dsigma)^{1/p}, the limit
+    ``szego_rhs`` of s^p to the power 1/p, as Q_{1/2}(s^p)(x) = x^p p^{-1/2}.
     """
-    if not p > 0.0:
-        raise DomainError(f"Schatten exponent must be positive, got {p}")
-    r = model.r
-    circumference = 2.0 * math.pi * r / (1.0 - r * r)
-    scale = (1.0 - r * r) ** -2
-    if model.is_constant_one:
-        integral = circumference * scale ** p
-    else:
-        n_nodes = 4 * max(len(model.fourier), 8)
-        vals = []
-        for n_cur in (n_nodes, 2 * n_nodes):
-            theta = np.arange(n_cur) / n_cur
-            vals.append(circumference * float(
-                np.mean((model.symbol_values(theta) * scale) ** p)))
-        if abs(vals[1] - vals[0]) > 1e-9 * max(abs(vals[1]), 1e-300):
-            raise AccuracyError("Schatten symbol quadrature failed to settle")
-        integral = vals[1]
-    return (integral / math.sqrt(2.0 * p)) ** (1.0 / p)
+    return szego_rhs(model, power_phi(p)) ** (1.0 / p)
 
 
 @dataclass(frozen=True, slots=True)

@@ -44,9 +44,9 @@ _SYMBOL_GRID = 4096
 # time (about 0.6 MB of temporaries), so there it caps the work (about 0.4 s
 # at the cap), not the memory; and the walk array of
 # ``composition_trace_quadrature``, which raises AccuracyError there.  Counts
-# probe O(log alpha) indices and have no cap.  _CHUNK = 8192 was the fastest
-# of 4096 to 32768 on alpha = 1e5 trace windows of 1.7e4 to 5.3e4 indices;
-# larger chunks win only on windows of millions, by about 10%.
+# evaluate a few indices per threshold and have no cap.  _CHUNK = 8192 was
+# the fastest of 4096 to 32768 on alpha = 1e5 trace windows of 1.7e4 to 5.3e4
+# indices; larger chunks win only on windows of millions, by about 10%.
 # MAX_MATRIX_ORDER bounds ``matrix_elements``: a dense complex matrix of
 # order 4096 takes 16 * 4096^2 B = 256 MiB before the eigensolve's workspace.
 MAX_SPECTRUM_TERMS = 4_000_000
@@ -55,9 +55,6 @@ _CHUNK = 1 << 13
 # The default matrix drops the indices past the peak whose constant-symbol
 # diagonal is below u^2 of the peak, u = 2^-53 the unit roundoff.
 _ROW_FLOOR = 2.0 ** -106
-# Most probes per bracket and level of the windowed count: brackets up to
-# 257^L indices close in L levels (L = 4 at m* ~ 5e7).
-_MAX_PROBES = 256
 # The windowed trace: each omitted tail of sum lambda^p is at most _TAIL_TOL
 # of the window's sum.
 _TAIL_TOL = 2.0 ** -53
@@ -209,8 +206,8 @@ def _log_diagonal(model: CircleSymbolModel, m, log_scale: float) -> np.ndarray:
     table at the integers m, and from ``math.lgamma`` for n and for the at
     most 14 values n + m <= 15 (alpha < 13 only); a call takes these
     branches only when it holds such an index.  An entry does not depend on
-    which other indices share the call, so probes match the full spectrum
-    bit for bit.
+    which other indices share the call, so a call over a few indices matches
+    the full spectrum bit for bit.
     """
     r, a = model.r, model.alpha
     m = np.asarray(m, dtype=float)
@@ -267,60 +264,38 @@ def _check_index(m: int) -> None:
                           f"where float indices stop being exact")
 
 
-def _bracket_probes(lo: int, hi: int) -> np.ndarray:
-    """Indices strictly inside (lo, hi) for one level of k-ary refinement.
+def _slope(model: CircleSymbolModel, m: float) -> float:
+    # D(m) = log(lambda_(m+1)/lambda_m) = log(r^2 (alpha+m+2)/(m+1)), any real m > -1.
+    return math.log(model.r * model.r * (model.alpha + m + 2.0) / (m + 1.0))
 
-    Up to _MAX_PROBES + 1 gaps every index is probed.  A wider bracket needs
-    L = ceil(log_{_MAX_PROBES+1}(gaps)) levels; it gets about gaps^(1/L)
-    evenly spread probes, so its remaining levels stay at L - 1 at a fraction
-    of the probes.  DomainError for hi > 2^53 (``_check_index``).
+
+def _log_ratio_bounds(model: CircleSymbolModel, c: int, k: int) -> tuple:
+    """Closed-form bounds (below, above) on log(lambda_(c+k)/lambda_c), k != 0.
+
+    The log is S, the sum of D = ``_slope`` over lo..hi = c..c+k-1, for k > 0
+    and -S over c+k..c-1 for k < 0.  D is convex for alpha > -1, so by
+    Hermite-Hadamard S lies between its trapezoid rule (exact for one term),
+    the integral of D over [lo, hi] plus (D(lo) + D(hi))/2, and the integral
+    over [lo - 1/2, hi + 1/2], h D(x+h) + (n+x) log1p(h/(n+x)) -
+    (x+1) log1p(h/(x+1)) over [x, x + h], n = alpha + 2: no term of size
+    alpha cancels, and the pair rounds by up to about 5 u |k|, u = 2^-53.
     """
-    _check_index(hi)
-    gaps = hi - lo
-    if gaps <= _MAX_PROBES + 1:
-        return np.arange(lo + 1, hi)
-    levels = math.ceil(math.log(gaps) / math.log(_MAX_PROBES + 1))
-    k = min(_MAX_PROBES, math.ceil(gaps ** (1.0 / levels)) - 1)
-    return lo + (np.arange(1, k + 1) * gaps) // (k + 1)
+    def integral(x, y):
+        h, n = y - x, model.alpha + 2.0 + x
+        return h * _slope(model, y) + n * math.log1p(h / n) - (x + 1.0) * math.log1p(h / (x + 1.0))
+
+    lo, hi = (c, c + k - 1) if k > 0 else (c + k, c - 1)
+    below = integral(lo, hi) + 0.5 * (_slope(model, lo) + _slope(model, hi))
+    above = integral(lo - 0.5, hi + 0.5)
+    return (below, above) if k > 0 else (-above, -below)
 
 
-def _narrow(bracket: list, idx: np.ndarray, lam: np.ndarray) -> None:
-    # bracket = [lo, hi, t, rising]: the predicate (lam >= t on the rising
-    # side, lam < t on the falling side) is False at lo, True at hi and
-    # monotone in between; move lo and hi to the probes that still straddle
-    # the switch.
-    lo, hi, t, rising = bracket
-    inside = (idx > lo) & (idx < hi)
-    q, v = idx[inside], lam[inside]
-    hit = v >= t if rising else v < t
-    j = int(np.argmax(hit)) if hit.any() else q.size
-    if j > 0:
-        bracket[0] = int(q[j - 1])
-    if j < q.size:
-        bracket[1] = int(q[j])
-
-
-def _log_ratio_bound(model: CircleSymbolModel, c: int, k: int) -> float:
-    """Closed-form upper bound on log(lambda_(c+k)/lambda_c), any c and k != 0.
-
-    D(m) = log(lambda_(m+1)/lambda_m) = log(r^2 (alpha+m+2)/(m+1)) falls and is
-    convex for alpha > -1 (D'' = 1/(m+1)^2 - 1/(alpha+m+2)^2 > 0), so the sum
-    of D over c..c+k-1 is at most the chord (k/2)(D(c) + D(c+k-1)), and minus
-    the sum over c+k..c-1 (k < 0) at most k D(c+(k-1)/2) by Jensen's
-    inequality.  k = +-1 gives D(c) and -D(c-1) exactly.
-    """
-    q, a = model.r * model.r, model.alpha
-    m = c + k - 1.0 if k > 0 else c + 0.5 * (k - 1)
-    d_m = math.log(q * (a + m + 2.0) / (m + 1.0))
-    return 0.5 * k * (math.log(q * (a + c + 2.0) / (c + 1.0)) + d_m) if k > 0 else k * d_m
-
-
-def _first_width(model: CircleSymbolModel, drop: float) -> int:
-    # Where log lambda falls by ``drop`` from m*: the pmf's width sqrt(2 drop) sigma,
-    # sigma = sqrt(alpha+2) r/(1-r^2), plus its first-order skewness term; at least 1.
+def _first_width(model: CircleSymbolModel, drop: float, side: int) -> int:
+    # Where log lambda falls by ``drop`` from m* above (side 1) or below (-1): the pmf's width
+    # sqrt(2 drop) sigma, sigma = sqrt(alpha+2) r/(1-r^2), plus side times its skewness term.
     r, a = model.r, model.alpha
     return max(math.ceil(math.sqrt(2.0 * drop * (a + 2.0)) * r / (1.0 - r * r)
-                         + drop * (1.0 + r * r) / (3.0 * (1.0 - r * r))), 1)
+                         + side * drop * (1.0 + r * r) / (3.0 * (1.0 - r * r))), 1)
 
 
 def _reach(g, k: int, drop: float) -> int:
@@ -336,6 +311,19 @@ def _reach(g, k: int, drop: float) -> int:
     return k
 
 
+def _least(g, k: int, drop: float, hi) -> int:
+    # The least k >= 1 with g(k) < 0, g falling from g(0) = drop >= 0 to below 0 at hi:
+    # secant steps from the guess k, up or down, inside the bracket (lo, hi) seen so far.
+    lo, j, u, k = 0, 0, drop, min(k, hi - 1)
+    while hi - lo > 1:
+        v = g(k)
+        lo, hi = (lo, k) if v < 0.0 else (k, hi)
+        slope = (v - u) / (k - j)
+        j, u = k, v
+        k = min(max(round(k - v / slope) if slope < 0.0 else 2 * k, lo + 1), hi - 1)
+    return hi
+
+
 @np.errstate(under="ignore")
 def _window_ends(model: CircleSymbolModel, thresholds, relative: bool = False) -> list:
     """Ends (first, last) of {m >= 0 : lambda_m >= t} for each t, a positive
@@ -343,43 +331,53 @@ def _window_ends(model: CircleSymbolModel, thresholds, relative: bool = False) -
     fraction of the peak value.
 
     The ratio of successive eigenvalues falls, so the set is one index
-    interval around the peak.  The rising bracket [-1, peak] and the falling
-    bracket [peak, peak + k + 1] of every t are refined together, one
-    ``_log_diagonal`` call per level; the first holds the indices next to m*
-    and probes up to m1 = ceil((r^2 (2 alpha + 3) - 1)/(1 - r^2)).  k is the
-    first from the guess ``_first_width`` up with ``_log_ratio_bound(peak, k)``
-    < log(t/lambda_peak), so lambda_(peak+k) < t; one index more takes the end
-    a factor exp(D(peak+k)) lower, below a t within rounding of lambda_(peak+k).
+    interval around the peak, found by one evaluation of m* - 1..m* + 1.  On
+    each side the end lies j - 1 to J - 1 steps out, j and J the least steps
+    where the lower and the upper ``_log_ratio_bounds`` fall below
+    log(t/lambda_peak); one ``_log_diagonal`` call per t takes both sides
+    over steps j - 2..J + 1, margins for rounding: the bounds round by up to
+    about 5 u k at k steps (u = 2^-53), under the step of about k/sigma^2 in
+    log lambda there while sigma^2 = (alpha+2) r^2/(1-r^2)^2 <= 2^50.
+    DomainError past that, or if the values do not fall through t inside
+    the steps.
     """
     r, a = model.r, model.alpha
     m_star = largest_eigenvalue_index(r, a)
-    end = max(math.ceil((r * r * (2.0 * a + 3.0) - 1.0) / ((1.0 - r) * (1.0 + r))), m_star + 1)
+    _check_index(m_star + 1)
+    sigma2 = (a + 2.0) * (r / (1.0 - r * r)) ** 2
+    if sigma2 > 2.0 ** 50:
+        raise DomainError(f"the window bounds cannot resolve neighbouring indices: "
+                          f"sigma^2 = {sigma2:.3g} is past 2^50 (r={r:g}, alpha={a:g})")
     near = np.arange(max(m_star - 1, 0), m_star + 2)
-    idx = np.unique(np.concatenate(
-        (near, _bracket_probes(-1, m_star), _bracket_probes(m_star, end), [end])))
-    lam = np.exp(_log_eigenvalues(model, idx))
-    at_near = lam[np.searchsorted(idx, near)]
+    at_near = np.exp(_log_eigenvalues(model, near))
     peak, top = int(near[np.argmax(at_near)]), float(at_near.max())
     if relative:
         thresholds = [t * top for t in thresholds]
 
-    def falling(t: float) -> list:
-        drop = math.log(top) - math.log(t)
-        k = _reach(lambda k: _log_ratio_bound(model, peak, k) + drop,
-                   _first_width(model, drop), drop)
-        return [peak, peak + k + 1, t, False]
+    def steps(side: int, drop: float) -> np.ndarray:
+        # steps j - 2..J + 1 of one side; below the peak, step peak + 1 (index -1) is below t
+        def least(b: int, guess: int, hi) -> int:
+            return _least(lambda k: _log_ratio_bounds(model, peak, side * k)[b] + drop,
+                          guess, drop, hi)
 
-    pairs = [([-1, peak, t, True], falling(t)) if top >= t else None for t in thresholds]
-    open_ = [b for pair in pairs if pair for b in pair]
-    while open_:
-        for b in open_:
-            _narrow(b, idx, lam)
-        open_ = [b for b in open_ if b[1] - b[0] > 1]
-        if open_:
-            idx = np.unique(np.concatenate([_bracket_probes(b[0], b[1]) for b in open_]))
-            lam = np.exp(_log_eigenvalues(model, idx))
-    # first index >= t on the rising side is its hi; last on the falling side its lo
-    return [(pair[0][1], pair[1][0]) if pair else (0, -1) for pair in pairs]
+        far = least(1, _first_width(model, drop, side), math.inf if side > 0 else peak + 1)
+        return np.arange(max(least(0, far - 1, far) - 2, 0), far + 2)
+
+    def ends(t: float) -> tuple:
+        drop = math.log(top) - math.log(t)
+        up, down = steps(1, drop), steps(-1, drop)
+        idx = np.concatenate((peak + up, peak - down))
+        lam = np.where(idx >= 0, np.exp(_log_eigenvalues(model, np.maximum(idx, 0))), 0.0)
+
+        def last(s: np.ndarray, v: np.ndarray) -> int:
+            if not v[0] >= t > v[-1]:
+                raise DomainError(f"the values do not fall through t={t!r} inside the "
+                                  f"window bounds (r={r:g}, alpha={a:g})")
+            return int(s[np.argmax(v < t) - 1])
+
+        return peak - last(down, lam[up.size:]), peak + last(up, lam[:up.size])
+
+    return [ends(t) if top >= t else (0, -1) for t in thresholds]
 
 
 def explicit_count(model: CircleSymbolModel, t1: float, t2: float) -> int:
@@ -389,8 +387,8 @@ def explicit_count(model: CircleSymbolModel, t1: float, t2: float) -> int:
     compares an array of them: an upper end at the norm bound counts every
     eigenvalue >= t1.  The count is #{lambda >= t1} -
     #{lambda >= nextafter(t2, inf)}, each term the length of a window whose
-    ends are found by bracket refinement at O(log alpha) evaluations of
-    ``_log_diagonal``, so it runs in bounded memory at any peak index.
+    ends come from closed-form bounds and one ``_log_diagonal`` call of a few
+    indices per threshold, so it runs in bounded memory at any peak index.
     DomainError for a t1 that is not a finite normal float: infinitely many
     eigenvalues lie above t1 <= 0, and subnormal values have lost their
     digits.
@@ -412,9 +410,9 @@ def explicit_trace(model: CircleSymbolModel, phi) -> float:
 
     One index window around m*, sized before any evaluation, is summed
     _CHUNK indices per ``_log_diagonal`` call.  With p = ``phi.p_exponent``,
-    tol = 2^-53 and B, D as in ``_log_ratio_bound``, each side ends k from
-    m* (the lower side stops at 0), the first k from the guess
-    ``_first_width`` up with p B(m*, +-k) + log(d/(1-d)) < log tol, where
+    tol = 2^-53, B the upper ``_log_ratio_bounds`` and D = ``_slope``, each
+    side ends k from m* (the lower side stops at 0), the first k up from the
+    side's ``_first_width`` with p B(m*, +-k) + log(d/(1-d)) < log tol, where
     d = exp(p D(m*+k)) above and exp(-p D(m*-k-1)) below.  As D falls, d
     bounds every ratio of successive lambda^p leaving the window, so each
     omitted tail of sum lambda^p is at most the end term times d/(1-d),
@@ -431,18 +429,19 @@ def explicit_trace(model: CircleSymbolModel, phi) -> float:
     log_tol = math.log(_TAIL_TOL)
 
     def excess(k: int) -> float:
-        log_d = p * _log_ratio_bound(model, m_star + k, 1 if k > 0 else -1)
+        log_d = p * (_slope(model, m_star + k) if k > 0 else -_slope(model, m_star + k - 1))
         if not log_d < 0.0:   # near 2^53 a ratio next to m* can round to 1 or more
             raise DomainError(f"the eigenvalue ratio at index {m_star + k} does not "
                               f"resolve below 1 in floats (alpha={model.alpha:g}, p={p:g})")
-        return p * _log_ratio_bound(model, m_star, k) + log_d - math.log(-math.expm1(log_d)) \
-            - log_tol
+        return p * _log_ratio_bounds(model, m_star, k)[1] + log_d \
+            - math.log(-math.expm1(log_d)) - log_tol
 
-    guess = _first_width(model, -log_tol / p)
+    guess = _first_width(model, -log_tol / p, 1)
     _check_index(m_star + guess)
     last = m_star + _reach(excess, guess, -log_tol)
     # -1.0: a window that reaches 0 omits nothing below it
-    first = max(m_star - _reach(lambda k: excess(-k) if k < m_star else -1.0, guess, -log_tol), 0)
+    first = max(m_star - _reach(lambda k: excess(-k) if k < m_star else -1.0,
+                                _first_width(model, -log_tol / p, -1), -log_tol), 0)
     if last - first + 1 > MAX_SPECTRUM_TERMS:
         raise DomainError(
             f"trace window would hold {last - first + 1} terms, above the cap of "
@@ -469,8 +468,8 @@ def matrix_elements(model: CircleSymbolModel,
 
     The default cutoff (alpha > 0) is K + last: K is the bandwidth and
     ``last`` the last index past the peak of the constant-symbol diagonal
-    d_m with d_last >= u^2 d_peak, u = 2^-53, found by the windowed bracket
-    refinement of ``explicit_count``.  Entry (j, k) is
+    d_m with d_last >= u^2 d_peak, u = 2^-53, found by the window bounds of
+    ``explicit_count``.  Entry (j, k) is
     sqrt(d_j d_k) a_hat[j-k] and a_hat vanishes past K, so the dropped
     rows couple to the kept block only through its last K rows, all below
     u^2 d_peak.  By Weyl's inequality each kept eigenvalue is then within

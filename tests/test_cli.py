@@ -150,10 +150,17 @@ class TestScan:
         assert captured.out == "" and captured.err.count("exactly one of phi or interval") == 3
 
     def test_index_past_2_53_exit_2(self, capsys):
-        # m* ~ 3.3e19: the count's window search would probe indices that
+        # m* ~ 3.3e19: the count's window search would reach indices that
         # float arithmetic no longer tells apart.
         assert run(["scan", "--r", "0.5", "--alpha", "1e20", "--t1", "0.5", "--t2", "1.7"]) == 2
         assert "2^53" in capsys.readouterr().err
+
+    def test_unresolved_neighbours_exit_2(self, capsys):
+        # sigma^2 is 2.5e17 and 2.5e19 here: the count's window bounds round by
+        # more than the step between neighbouring indices.
+        for r in ("0.999", "0.9999"):
+            assert run(["scan", "--r", r, "--alpha", "1e12", "--t1", "1e-300", "--t2", "1e5"]) == 2
+        assert capsys.readouterr().err.count("cannot resolve neighbouring indices") == 2
 
     def test_bad_alpha_list(self, capsys):
         assert run(["scan", "--r", "0.5", "--alpha", "ten", "--phi", "pow:1"]) == 2

@@ -48,3 +48,27 @@ def test_readme_lists_each_commands_flags():
     assert sorted(table) == sorted(cli.COMMANDS)
     for name, (_, _, defaults) in cli.COMMANDS.items():
         assert table[name] == set(defaults), name
+
+
+def test_no_unused_private_names():
+    # A module-level private function or constant that nothing in the
+    # package uses besides its definition is a helper a change left behind.
+    trees = [ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SOURCE.glob("*.py"))]
+    defined, used = set(), set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    private = {name for name in defined if name.startswith("_") and not name.endswith("__")}
+    assert sorted(private - used) == []

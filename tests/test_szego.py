@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -131,14 +132,23 @@ class TestSzegoRhs:
             got = szego_rhs(R_HALF, power_phi(float(m)))
             assert got == pytest.approx(monomial_rhs_circle(0.5, m), rel=1e-9)
 
+    def test_monomial_past_the_float_range_refused(self):
+        # The limit, about 1e1249, is past the largest float, and
+        # (1 - r^2)^(2m) underflows to 0 here.
+        with pytest.raises(DomainError, match="float range"):
+            monomial_rhs_circle(0.5, 5000)
+
     def test_hand_value_linear(self):
         want = (1.0 / math.sqrt(2.0)) * (16.0 / 9.0) * (4.0 * math.pi / 3.0)
         assert szego_rhs(R_HALF, power_phi(1.0)) == pytest.approx(want, rel=1e-10)
 
     def test_small_power_matches_schatten_structure(self):
-        got = szego_rhs(R_HALF, power_phi(0.5))
-        assert math.isfinite(got) and got > 0
-        assert got == pytest.approx(schatten_limit(R_HALF, 0.5) ** 0.5, rel=1e-9)
+        # Q_{1/2}(s^p)(x) = x^p p^{-1/2}: the limit is the integral of x^p
+        # over sqrt(2p), for the constant and a Fourier symbol
+        for model in (R_HALF, CircleSymbolModel(r=0.5, alpha=100.0, fourier=(1.0, 0.2))):
+            got = szego_rhs(model, power_phi(0.5))
+            assert math.isfinite(got) and got > 0
+            assert got == pytest.approx(power_integral(model, 0.5), rel=1e-9)
 
     def test_polynomial_is_linear_combination(self):
         coeffs = (1.5, -0.25, 0.75)
@@ -327,6 +337,16 @@ class TestCountPrediction:
             count_prediction(0.5, 0.0, 1.0)
 
 
+def power_integral(model, p, n_nodes=4096):
+    """(2p)^(-1/2) int (a(xi)(1-r^2)^-2)^p dsigma over the circle: its length
+    times the mean of the integrand on a periodic grid, which is exact for a
+    trigonometric polynomial of degree below n_nodes and spectrally accurate
+    for a positive symbol's power."""
+    r = model.r
+    x = model.symbol_values(np.arange(n_nodes) / n_nodes) / (1.0 - r * r) ** 2
+    return 2.0 * math.pi * r / (1.0 - r * r) * float(np.mean(x ** p)) / math.sqrt(2.0 * p)
+
+
 def gammaln_truncation(r, alpha):
     # The gammaln spectrum down to the smallest normal float, as the
     # container eigen_count reads.
@@ -390,9 +410,22 @@ class TestSchatten:
         assert schatten_limit(R_HALF, 1.0) == pytest.approx(want, rel=1e-12)
 
     def test_p2_matches_quadratic_rhs(self):
-        got = schatten_limit(R_HALF, 2.0)
-        assert got == pytest.approx(math.sqrt(szego_rhs(R_HALF, power_phi(2.0))),
-                                    rel=1e-9)
+        # the constant symbol's closed form, (C (1-r^2)^-4 / 2)^(1/2) with C the
+        # circle length, and a Fourier symbol's mean of a^2
+        want = math.sqrt((2.0 * math.pi * 0.5 / 0.75) * (16.0 / 9.0) ** 2 / 2.0)
+        assert schatten_limit(R_HALF, 2.0) == pytest.approx(want, rel=1e-9)
+        fourier = CircleSymbolModel(r=0.5, alpha=100.0, fourier=(1.0, 0.2 + 0.1j, 0.1))
+        assert schatten_limit(fourier, 2.0) == pytest.approx(
+            math.sqrt(power_integral(fourier, 2.0)), rel=1e-9)
+
+    def test_float_range_is_an_accuracy_error(self):
+        # (a (1-r^2)^-2)^1000 overflows: the limit's quadrature does not
+        # settle, so it raises rather than returning inf.
+        model = CircleSymbolModel(r=0.5, alpha=100.0, fourier=(1.0, 0.2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)   # the overflow itself
+            with pytest.raises(AccuracyError):
+                schatten_limit(model, 1000.0)
 
     def test_finite_positive_across_p(self):
         for p in (0.5, 1.0, 2.0, 4.0):

@@ -223,6 +223,24 @@ class TestLogDiagonal:
         assert np.max(np.abs(got - want)) <= 2e-12
 
 
+def _crossing(log_lam, lo, hi, t):
+    # The first index in (lo, hi] where log_lam(m) >= log t switches state, by
+    # bisection over indices on one side of the peak; lo = -1 stands for an
+    # index below t, so the rising side may switch at 0.
+    def above(m):
+        return m >= 0 and log_lam(m) >= math.log(t)
+
+    state = above(lo)
+    assert above(hi) != state
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if above(mid) == state:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
 def _long_index(model):
     # The peak index plus a step, doubled until the eigenvalue there is
     # below the smallest normal float; every later one is smaller.
@@ -297,9 +315,9 @@ class TestExplicitCount:
 
     def test_near_unit_radius_bounded_memory(self):
         # m* is about 5e7 here: the spectrum would need ~830 MB, the count
-        # probes a few hundred indices.  Oracle: the crossings of t1 and t2,
-        # bisected on scipy's gammaln; the eigenvalues there are ~1e-5 apart
-        # (relative), far above the log-gamma differences between the two.
+        # evaluates a few indices per threshold.  Oracle: the crossings of t1
+        # and t2, bisected on scipy's gammaln; the eigenvalues there are ~1e-5
+        # apart (relative), far above the log-gamma differences between the two.
         model = CircleSymbolModel(r=0.999, alpha=1e5)
         t1, t2 = 1e4, 2e5
         tracemalloc.start()
@@ -312,27 +330,98 @@ class TestExplicitCount:
 
         r, a = model.r, model.alpha
 
-        def log_lam(m):
-            return gammaln_spectrum.log_eigenvalues(r, a, m)
-
         def crossing(lo, hi, t):
-            # first index in (lo, hi] where log_lam >= log t switches state
-            above_lo = log_lam(lo) >= math.log(t)
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if (log_lam(mid) >= math.log(t)) == above_lo:
-                    lo = mid
-                else:
-                    hi = mid
-            return hi
+            return _crossing(lambda m: gammaln_spectrum.log_eigenvalues(r, a, m), lo, hi, t)
 
         m_star = largest_eigenvalue_index(r, a)
         cut = 2 * m_star   # where lambda is far below t1
-        assert log_lam(cut) < math.log(t1)
+        assert gammaln_spectrum.log_eigenvalues(r, a, cut) < math.log(t1)
         want = ((crossing(m_star, cut, t1) - crossing(0, m_star, t1))
                 - (crossing(m_star, cut, t2) - crossing(0, m_star, t2)))
         assert abs(got - want) <= 2
         assert got > 5e5
+
+    @pytest.mark.parametrize("alpha", [1e3, 1e5])
+    def test_near_unit_radius_down_to_1e_300(self, alpha):
+        # Every eigenvalue down to 1e-300 at r = 0.9999: about 1.2e7 and
+        # 1.2e8 of them, whose window ends lie up to 8e6 and 6e7 indices
+        # from m*.  The crossings of t1 are bisected on 40-digit log-gammas:
+        # scipy's gammaln rounds by about 3e-7 at m ~ 5e8, above the 7e-8
+        # margin of the upper end at alpha = 1e5, and moves that end by one.
+        r, t1 = 0.9999, 1e-300
+        model = CircleSymbolModel(r=r, alpha=alpha)
+        m_star = largest_eigenvalue_index(r, alpha)
+
+        def crossing(lo, hi):
+            return _crossing(lambda m: _mp_log_diagonal(r, alpha, m)
+                             + 0.5 * math.log(2.0 * math.pi / alpha), lo, hi, t1)
+
+        want = crossing(m_star, 4 * m_star) - crossing(-1, m_star)
+        assert explicit_count(model, t1, model.norm_bound) == want
+
+    def test_bounds_bracket_the_log_ratios(self):
+        # The closed-form pair brackets the evaluator's log(lambda_(m*+k) /
+        # lambda_m*) on both sides, out to the ends of the 1e-300 window, up
+        # to rounding: the bounds' own, up to 5 u |k| on 600 such rows
+        # (u = 2^-53), and the evaluator's, up to 1e-13.
+        rng = np.random.default_rng(19)
+        for r, log_alpha in zip(1.0 - 10.0 ** rng.uniform(-4.0, math.log10(0.95), 40),
+                                rng.uniform(math.log10(0.5), 7.0, 40)):
+            model = CircleSymbolModel(r=r, alpha=10.0 ** log_alpha)
+            c = largest_eigenvalue_index(r, model.alpha)
+            first, last = toeplitz._window_ends(model, [1e-300 * model.norm_bound])[0]
+            ks = [side * k for side, reach in ((1, last - c), (-1, c - first)) if reach > 0
+                  for k in np.unique(np.geomspace(1, reach, 25).astype(int))]
+            ln = _log_eigenvalues(model, c + np.array(ks)) - _log_eigenvalues(model, [c])[0]
+            for k, v in zip(ks, ln):
+                below, above = toeplitz._log_ratio_bounds(model, c, int(k))
+                tol = 1e-12 + 8.0 * 2.0 ** -53 * abs(k)
+                assert below - tol <= v <= above + tol
+
+    def test_a_few_indices_per_threshold(self, monkeypatch):
+        # One _log_diagonal call finds the peak and one per threshold takes
+        # both of its window ends, a few indices each, and the steps come
+        # from few evaluations of the closed-form bounds, whatever r, alpha
+        # and t1 are (at most 58 on 8,000 seeded counts).
+        calls = _record_indices(monkeypatch)
+        bound, evaluations = toeplitz._log_ratio_bounds, []
+        monkeypatch.setattr(toeplitz, "_log_ratio_bounds",
+                            lambda *args: evaluations.append(None) or bound(*args))
+        rng = np.random.default_rng(23)
+        cases = [(0.9999, 1e3, 1e-300), (0.05, 0.5, 1e-300), (0.5, 1e12, 0.5)] + [
+            (1.0 - 10.0 ** u, 10.0 ** v, 10.0 ** w) for u, v, w in
+            zip(rng.uniform(-4.0, -0.01, 60), rng.uniform(-0.3, 7.0, 60),
+                rng.uniform(-300.0, 0.0, 60))]
+        for r, alpha, rel in cases:
+            model = CircleSymbolModel(r=r, alpha=alpha)
+            t1 = rel * model.norm_bound
+            for t2 in (model.norm_bound, math.sqrt(t1 * model.norm_bound)):
+                calls.clear()
+                evaluations.clear()
+                explicit_count(model, t1, t2)
+                assert len(calls) <= 3 and all(c.size <= 12 for c in calls)
+                assert len(evaluations) <= 80
+
+    def test_a_missed_crossing_is_refused(self, monkeypatch):
+        # The evaluation checks what the bounds claim: bounds moved up by 1
+        # put both brackets past the crossings, and the count is refused
+        # rather than taken from the values at hand.
+        bounds = toeplitz._log_ratio_bounds
+        monkeypatch.setattr(toeplitz, "_log_ratio_bounds",
+                            lambda *args: tuple(b + 1.0 for b in bounds(*args)))
+        model = CircleSymbolModel(r=0.5, alpha=1e4)
+        with pytest.raises(DomainError, match="fall through"):
+            explicit_count(model, 0.5, model.norm_bound)
+
+    def test_unresolved_neighbours_refused(self):
+        # At alpha = 1e12 and r >= 0.999, sigma^2 >= 2.5e17 > 2^50: the
+        # bounds round by more than the step between neighbours near the
+        # window ends, and a count taken from them could move.
+        for r in (0.999, 0.9999):
+            model = CircleSymbolModel(r=r, alpha=1e12)
+            for t1 in (1e-3, 1e-300):
+                with pytest.raises(DomainError, match="resolve"):
+                    explicit_count(model, t1, model.norm_bound)
 
     def test_near_unit_radius_spectrum_refused(self):
         # The only array of the spectrum is the matrix diagonal; its order
@@ -480,9 +569,9 @@ class TestExplicitTrace:
         sigma = math.sqrt(model.alpha + 2.0) * model.r / (1.0 - model.r ** 2)
         moved = m_star + int(shift * 8.57 * sigma / math.sqrt(phi.p_exponent))
         monkeypatch.setattr(toeplitz, "largest_eigenvalue_index", lambda r, a: moved)
-        bound = toeplitz._log_ratio_bound
+        bound = toeplitz._log_ratio_bounds
         events = _record_indices(monkeypatch)   # the indices of each evaluation
-        monkeypatch.setattr(toeplitz, "_log_ratio_bound",
+        monkeypatch.setattr(toeplitz, "_log_ratio_bounds",
                             lambda *args: events.append(None) or bound(*args))
         got = explicit_trace(model, phi)
         start = next(i for i, e in enumerate(events) if e is not None)
@@ -569,7 +658,7 @@ class TestMatrixElements:
             matrix_elements(model)
 
     def test_default_order_refused_in_bounded_memory(self):
-        # The order comes from a few hundred probes, not from an array of it.
+        # The order comes from a few evaluated indices, not from an array of it.
         model = CircleSymbolModel(r=0.5, alpha=1e5, fourier=(1.0, 0.3))
         tracemalloc.start()
         try:

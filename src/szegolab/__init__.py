@@ -49,7 +49,6 @@ from .toeplitz import (
     matrix_elements,
 )
 from .szego import (
-    NormAsymptote,
     PhiFunction,
     QTransformSpec,
     ScanRow,
@@ -57,7 +56,6 @@ from .szego import (
     count_prediction,
     eigen_count,
     monomial_rhs_circle,
-    norm_asymptote,
     poly_phi,
     power_phi,
     q_transform,

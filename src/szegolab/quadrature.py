@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import AccuracyError
+from .errors import AccuracyError, DomainError
 
 __all__ = ["gauss_legendre", "panel_integral", "graded_edges", "adaptive_integral"]
 
@@ -77,18 +77,31 @@ def adaptive_integral(f, edges, rel_tol: float, order: int = 16,
     component is still pending.  The result is a float for a scalar integrand
     and an array for a vector one.
 
-    Raises AccuracyError with a diagnostic when the doubling ladder is
-    exhausted without meeting ``rel_tol``.  ``what`` names the integral; for
-    a vector integrand it may be a function of the indices of the components
-    that exhausted the ladder, returning the name.
+    Raises DomainError at the first order whose value is not finite (the
+    integral has left the float range, and no later order would settle it),
+    and AccuracyError with a diagnostic when the doubling ladder is exhausted
+    without meeting ``rel_tol``.  ``what`` names the integral; for a vector
+    integrand it may be a function of the indices of the failing components,
+    returning the name.
     """
+    def name(failed):
+        return what(failed) if callable(what) else what
+
+    def evaluate(k):
+        val = np.asarray(panel_integral(f, edges, k))
+        failed = np.flatnonzero(~np.isfinite(val))
+        if failed.size:
+            raise DomainError(f"{name(failed)}: value {val.ravel()[failed].tolist()!r} at "
+                              f"Gauss order {k} is past the float range")
+        return val
+
     k = order
-    prev = older = np.asarray(panel_integral(f, edges, k))
+    prev = older = evaluate(k)
     out = prev.copy()
     pending = np.ones(prev.shape, dtype=bool)
     for _ in range(max_doublings):
         k *= 2
-        val = np.asarray(panel_integral(f, edges, k))
+        val = evaluate(k)
         agree = pending & (np.abs(val - prev) <= rel_tol * np.maximum(np.abs(val), 1e-300))
         out[agree] = val[agree]
         pending &= ~agree
@@ -96,8 +109,7 @@ def adaptive_integral(f, edges, rel_tol: float, order: int = 16,
             return float(out) if out.ndim == 0 else out
         prev, older = val, prev
     failed = np.flatnonzero(pending)
-    name = what(failed) if callable(what) else what
     raise AccuracyError(
-        f"{name}: Gauss ladder exhausted at order {k} (last two values "
+        f"{name(failed)}: Gauss ladder exhausted at order {k} (last two values "
         f"{np.atleast_1d(older)[failed].tolist()!r} and "
         f"{np.atleast_1d(prev)[failed].tolist()!r}); target rel_tol={rel_tol:g}")

@@ -25,7 +25,6 @@ from .toeplitz import (
     _at_norm_bound,
     explicit_count,
     explicit_trace,
-    largest_eigenvalue_index,
 )
 
 __all__ = [
@@ -42,8 +41,6 @@ __all__ = [
     "schatten_limit",
     "ScanRow",
     "convergence_scan",
-    "NormAsymptote",
-    "norm_asymptote",
 ]
 
 
@@ -74,7 +71,7 @@ def power_phi(p: float) -> PhiFunction:
         raise DomainError(f"power must be positive and finite, got {p}")
 
     def fn(s):
-        with np.errstate(under="ignore"):
+        with np.errstate(under="ignore", over="ignore"):
             return np.asarray(s, dtype=float) ** p
 
     return PhiFunction(fn=fn, p_exponent=p)
@@ -141,7 +138,9 @@ def q_transform(spec: QTransformSpec, t):
     its own first agreeing order, so it equals the scalar call for that t.
     The block bound keeps the temporaries in cache, which ran faster than
     larger blocks.  An element that exhausts the ladder raises AccuracyError
-    naming its t.  A scalar t gives a float, an array t an array.
+    naming its t, and one whose integral leaves the float range raises
+    DomainError at the first such order.  A scalar t gives a float, an array
+    t an array.
     """
     scalar = np.ndim(t) == 0
     ts = np.atleast_1d(np.asarray(t, dtype=float))
@@ -402,21 +401,3 @@ def convergence_scan(template: CircleSymbolModel,
         return ScanRow(alpha=float(alpha), lhs_scaled=lhs, rhs_limit=rhs)
 
     return [row(float(a)) for a in alpha_grid]
-
-
-@dataclass(frozen=True)
-class NormAsymptote:
-    """Limit of the largest eigenvalue and the index where it occurs."""
-
-    limit: float
-    m_star: Callable[[float], int]
-
-
-def norm_asymptote(r: float) -> NormAsymptote:
-    """Largest-eigenvalue asymptote 1/(1-r^2)^2 and its index function."""
-    if not 0.0 < r < 1.0:
-        raise DomainError(f"radius must lie in (0, 1), got {r}")
-    return NormAsymptote(
-        limit=(1.0 - r * r) ** -2,
-        m_star=lambda alpha: largest_eigenvalue_index(r, alpha),
-    )

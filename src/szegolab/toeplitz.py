@@ -21,7 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .eigen import hermitian_eigenvalues
-from .errors import AccuracyError, DomainError
+from .errors import DomainError
 
 __all__ = [
     "CircleSymbolModel",
@@ -43,9 +43,9 @@ _SYMBOL_GRID = 4096
 # index window of ``explicit_trace``, which evaluates _CHUNK indices at a
 # time (about 0.6 MB of temporaries), so there it caps the work (about 0.4 s
 # at the cap), not the memory; and the walk array of
-# ``composition_trace_quadrature``, which raises AccuracyError there.  Counts
-# evaluate a few indices per threshold and have no cap.  _CHUNK = 8192 was
-# the fastest of 4096 to 32768 on alpha = 1e5 trace windows of 1.7e4 to 5.3e4
+# ``composition_trace_quadrature``, sized before any walk.  Counts evaluate
+# a few indices per threshold and have no cap.  _CHUNK = 8192 was the
+# fastest of 4096 to 32768 on alpha = 1e5 trace windows of 1.7e4 to 5.3e4
 # indices; larger chunks win only on windows of millions, by about 10%.
 # MAX_MATRIX_ORDER bounds ``matrix_elements``: a dense complex matrix of
 # order 4096 takes 16 * 4096^2 B = 256 MiB before the eigensolve's workspace.
@@ -58,8 +58,6 @@ _ROW_FLOOR = 2.0 ** -106
 # The windowed trace: each omitted tail of sum lambda^p is at most _TAIL_TOL
 # of the window's sum.
 _TAIL_TOL = 2.0 ** -53
-# The composition trace: agreement target of successive node counts.
-COMPOSITION_REL_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -405,26 +403,19 @@ def explicit_count(model: CircleSymbolModel, t1: float, t2: float) -> int:
     return at_least_t1 - above_t2
 
 
-def explicit_trace(model: CircleSymbolModel, phi) -> float:
-    """Sum of phi over the explicit spectrum, without building it.
+def _trace_window(model: CircleSymbolModel, p: float) -> tuple:
+    """Index window (first, last) of the constant-symbol spectrum for sum lambda^p.
 
-    One index window around m*, sized before any evaluation, is summed
-    _CHUNK indices per ``_log_diagonal`` call.  With p = ``phi.p_exponent``,
-    tol = 2^-53, B the upper ``_log_ratio_bounds`` and D = ``_slope``, each
-    side ends k from m* (the lower side stops at 0), the first k up from the
-    side's ``_first_width`` with p B(m*, +-k) + log(d/(1-d)) < log tol, where
-    d = exp(p D(m*+k)) above and exp(-p D(m*-k-1)) below.  As D falls, d
-    bounds every ratio of successive lambda^p leaving the window, so each
-    omitted tail of sum lambda^p is at most the end term times d/(1-d),
-    which B puts below tol lambda_m*^p, below tol times the window's sum.
-    The omitted part of sum phi(lambda) is then at most 2 tol times that sum
-    times sup |phi(s)/s^p| over the omitted eigenvalues, finite by the
-    ``PhiFunction`` contract and 1 for ``power_phi(p)``.  DomainError, before
-    evaluating, for a window above MAX_SPECTRUM_TERMS indices or one whose
-    guess reaches past index 2^53 (``_check_index``).
+    With tol = 2^-53, B the upper ``_log_ratio_bounds`` and D = ``_slope``,
+    each side ends k from m* (the lower side stops at 0), the first k up
+    from the side's ``_first_width`` with p B(m*, +-k) + log(d/(1-d)) <
+    log tol, where d = exp(p D(m*+k)) above and exp(-p D(m*-k-1)) below.  As
+    D falls, d bounds every ratio of successive lambda^p leaving the window,
+    so each omitted tail of sum lambda^p is at most the end term times
+    d/(1-d), which B puts below tol lambda_m*^p, below tol times the
+    window's sum.  No eigenvalue is evaluated.  DomainError for a guess
+    past index 2^53 (``_check_index``) or a ratio that rounds to 1 or more.
     """
-    _check_explicit(model)
-    p = phi.p_exponent
     m_star = largest_eigenvalue_index(model.r, model.alpha)
     log_tol = math.log(_TAIL_TOL)
 
@@ -442,6 +433,23 @@ def explicit_trace(model: CircleSymbolModel, phi) -> float:
     # -1.0: a window that reaches 0 omits nothing below it
     first = max(m_star - _reach(lambda k: excess(-k) if k < m_star else -1.0,
                                 _first_width(model, -log_tol / p, -1), -log_tol), 0)
+    return first, last
+
+
+def explicit_trace(model: CircleSymbolModel, phi) -> float:
+    """Sum of phi over the explicit spectrum, without building it.
+
+    The ``_trace_window`` at p = ``phi.p_exponent`` is summed _CHUNK indices
+    per ``_log_diagonal`` call.  Its omitted tails of sum lambda^p are each
+    below tol = 2^-53 of the window's sum, so the omitted part of sum
+    phi(lambda) is at most 2 tol times that sum times sup |phi(s)/s^p| over
+    the omitted eigenvalues: finite by the ``PhiFunction`` contract, 1 for
+    ``power_phi(p)``.  DomainError, before evaluating, for a window above
+    MAX_SPECTRUM_TERMS indices or one ``_trace_window`` refuses.
+    """
+    _check_explicit(model)
+    p = phi.p_exponent
+    first, last = _trace_window(model, p)
     if last - first + 1 > MAX_SPECTRUM_TERMS:
         raise DomainError(
             f"trace window would hold {last - first + 1} terms, above the cap of "
@@ -551,11 +559,13 @@ def label_product_batch(rows: np.ndarray) -> np.ndarray:
 
 
 def _cyclic_trace(model: CircleSymbolModel, m: int, n_nodes: int) -> float:
-    """m-dimensional trapezoid sum of the cyclic integrand, without its prefactor.
+    """m-dimensional trapezoid sum of the cyclic integrand at n nodes per axis.
 
     The sum is trace(W^m), W = diag(s) C / n, with s the symbol at the nodes
-    and C the circulant kernel matrix; its first column takes the offsets
-    wrapped into [-1/2, 1/2), as alpha would magnify rounding near 2 pi.  The
+    and C the circulant kernel matrix, prefactor c = (alpha+1) 2 pi r/(1-r^2)
+    included: taken into every step, it keeps a trace in the float range
+    where c^m alone overflows.  Its first column takes the offsets wrapped
+    into [-1/2, 1/2), as alpha would magnify rounding near 2 pi.  The
     DFT makes C the diagonal Lambda = fft(column) and diag(s) the banded
     circulant S[k, l] = a_hat[l - k], so the sum is trace((S Lambda / n)^m):
     over each start k, the walks of m steps d in [-K, K] whose offsets add up
@@ -572,7 +582,8 @@ def _cyclic_trace(model: CircleSymbolModel, m: int, n_nodes: int) -> float:
     offsets = np.arange(-m * band, m * band + 1)
     # Overflow at a large m reaches the caller as a non-finite value.
     with np.errstate(all="ignore"):
-        lam = np.fft.fft(np.exp(log_edge)) / n_nodes
+        lam = np.fft.fft(np.exp(log_edge)) \
+            * ((a + 1.0) * 2.0 * math.pi * r / (1.0 - r * r) / n_nodes)
         # Row j is lam[(k + offsets[j]) mod n] over the starts k, as a view.
         at_offset = sliding_window_view(
             np.take(lam, np.arange(offsets[0], n_nodes + offsets[-1]), mode="wrap"), n_nodes)
@@ -590,22 +601,18 @@ def _cyclic_trace(model: CircleSymbolModel, m: int, n_nodes: int) -> float:
 def composition_trace_quadrature(model: CircleSymbolModel, m: int) -> float:
     """Unnormalized trace of the m-fold composition by periodic quadrature.
 
-    The m-dimensional trapezoid sum of the exact cyclic integrand over the
-    circle (spectrally accurate for this smooth periodic function), with the
-    per-axis node count doubled from 64 until two successive values agree to
-    ``COMPOSITION_REL_TOL``.  The sum is the trace of the m-th power of the
-    circulant kernel matrix, and the DFT diagonalises that matrix exactly, so
-    ``_cyclic_trace`` returns the same sum, up to rounding, from one FFT and
-    O(m^2 K^2 n) work.  Its eigenvalues are the spectrum folded modulo n, so
-    the sum converges once n exceeds the window of significant eigenvalues,
-    not the peak index: at r = 1/2, alpha = 1e5 (peak 33,333) at n = 4096.
-    The one cap is MAX_SPECTRUM_TERMS on the n (2mK + 1) walk entries (peak
-    256 MB under tracemalloc at r = 0.999, alpha = 1e5, mostly the column's
-    temporaries at n = 2^21): a node count above it raises AccuracyError.
-    DomainError for m not an integer >= 2, alpha <= 0, or a value past the
-    float range, the last at once when a bound on the trace lies above the
-    largest float or below the smallest normal one, so a huge m costs no
-    walks.
+    The m-dimensional trapezoid sum of the exact cyclic integrand at n nodes
+    per axis, from ``_cyclic_trace`` (one FFT, O(m^2 K^2 n) work, K the
+    bandwidth).  n is the least power of two at least L + 2mK, L the length
+    of the p = 1 ``_trace_window``.  The sum is the trace of the n-periodised
+    operator, whose diagonal is the constant-symbol diagonal d aliased modulo
+    n; a closed walk of m steps of at most K cannot wrap as mK < n, so the
+    sum differs from the trace only through indices outside the window, and
+    each omitted tail of sum d is at most 2^-53 of the window's sum (p = 1
+    is the widest window for any m >= 2).  DomainError, before any walk, when
+    the n (2mK + 1) walk entries exceed MAX_SPECTRUM_TERMS (r = 0.999,
+    alpha = 1e5 takes n = 2^22), for m not an integer >= 2, alpha <= 0, or a
+    trace whose bounds leave the float range.
     """
     if m < 2 or int(m) != m:
         raise DomainError(f"composition length must be an integer >= 2, got {m}")
@@ -626,22 +633,14 @@ def composition_trace_quadrature(model: CircleSymbolModel, m: int) -> float:
         if (math.log(a0 * 2.0 * math.pi * (a + 1.0) * r) - 3.0 * math.log(1.0 - r * r)
                 + (m - 1) * (log_sup + log_peak) < math.log(sys.float_info.min)):
             raise DomainError(f"composition trace of length {m} is below the float range")
-    rows = 2 * m * model.bandwidth + 1
-    try:
-        pref = ((a + 1.0) * 2.0 * math.pi * r / (1.0 - r * r)) ** m
-    except OverflowError:
-        pref = math.inf
-    prev, gap, n_nodes = None, math.inf, 64
-    while n_nodes * rows <= MAX_SPECTRUM_TERMS:
-        val = pref * _cyclic_trace(model, m, n_nodes)
-        if not math.isfinite(val):
-            raise DomainError(f"composition trace of length {m} exceeds the float range")
-        if prev is not None:
-            if abs(val - prev) <= COMPOSITION_REL_TOL * abs(val):
-                return val
-            gap = abs(val - prev) / abs(val)
-        prev, n_nodes = val, 2 * n_nodes
-    raise AccuracyError(
-        f"composition trace did not converge: {n_nodes} nodes/axis need {n_nodes * rows} "
-        f"walk entries, above the cap of {MAX_SPECTRUM_TERMS}; last relative gap "
-        f"{gap:.2e}, target {COMPOSITION_REL_TOL:g}")
+    first, last = _trace_window(model, 1.0)
+    reach = 2 * m * model.bandwidth
+    n_nodes = 1 << (last - first + reach).bit_length()
+    if n_nodes * (reach + 1) > MAX_SPECTRUM_TERMS:
+        raise DomainError(
+            f"composition trace needs {n_nodes} nodes/axis, {n_nodes * (reach + 1)} walk "
+            f"entries, above the cap of {MAX_SPECTRUM_TERMS} (r={r:g}, alpha={a:g}, m={m})")
+    val = _cyclic_trace(model, m, n_nodes)
+    if not math.isfinite(val):
+        raise DomainError(f"composition trace of length {m} exceeds the float range")
+    return val

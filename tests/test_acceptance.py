@@ -25,9 +25,9 @@ from szegolab import (
     det_direct,
     det_via_polynomial,
     explicit_trace,
+    largest_eigenvalue_index,
     make_chart,
     monomial_rhs_circle,
-    norm_asymptote,
     power_phi,
     pullback_forms,
     q_transform,
@@ -232,16 +232,15 @@ def test_criterion_08_norm_asymptote():
     with criterion(8, "peak eigenvalue at r=1/sqrt(2), alpha=1e5: within 1% "
                       "of 4, peak index exactly alpha+1") as f:
         alpha = 1e5
-        asym = norm_asymptote(1 / math.sqrt(2))
+        model = CircleSymbolModel(r=1 / math.sqrt(2), alpha=alpha)
         peak = math.exp(gammaln_spectrum.log_spectrum(1 / math.sqrt(2), alpha).max())
         check(f, abs(peak / 4.0 - 1.0) < 0.01, f"peak {peak:.5f} vs 4")
-        check(f, abs(asym.limit - 4.0) < 1e-12, "limit closed form")
+        check(f, abs(model.norm_bound - 4.0) < 1e-12, "limit closed form")
         # The tie lambda_alpha = lambda_(alpha+1) needs the library's own
         # values: the gammaln ones differ there by 1.9e-10.
-        model = CircleSymbolModel(r=1 / math.sqrt(2), alpha=alpha)
         argmax = argmax_index(np.exp(_log_eigenvalues(model, np.arange(2 * int(alpha) + 4))))
         check(f, argmax == int(alpha) + 1, f"argmax {argmax} != {int(alpha) + 1}")
-        check(f, asym.m_star(alpha) == int(alpha) + 1, "index function")
+        check(f, largest_eigenvalue_index(model.r, alpha) == int(alpha) + 1, "index function")
 
 
 def test_criterion_09_schatten_limits():

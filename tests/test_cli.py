@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import gammaln_spectrum
-from szegolab import cli
+from szegolab import cli, toeplitz
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -306,6 +306,19 @@ class TestChecks:
         assert run(["trace-compare", "--r", "0.9999", "--alpha", "1e5"]) == 2
         assert time.monotonic() - start < 2.0
         assert "above the cap" in capsys.readouterr().err
+
+    def test_trace_compare_refuses_the_node_count_before_the_walks(self, capsys, monkeypatch):
+        # The eigenvalue side's window (about 2.2e6 indices at p = 2) is under
+        # its cap, but the quadrature's p = 1 window of about 3.1e6 takes 2^22
+        # nodes, over the walk-entry cap: exit 2 without a single walk.
+        def no_walks(*args):
+            raise AssertionError("the walks ran")
+
+        monkeypatch.setattr(toeplitz, "_cyclic_trace", no_walks)
+        start = time.monotonic()
+        assert run(["trace-compare", "--r", "0.999", "--alpha", "1e5"]) == 2
+        assert time.monotonic() - start < 1.0
+        assert "4194304 nodes/axis" in capsys.readouterr().err
 
     def test_trace_compare_eigenvalue_sum_matches_mpmath(self, capsys):
         # sum d^m = (2 pi alpha)^(m/2) sum lambda^m against the 30-digit

@@ -50,12 +50,12 @@ def test_readme_lists_each_commands_flags():
         assert table[name] == set(defaults), name
 
 
-def test_no_unused_private_names():
-    # A module-level private function or constant that nothing in the
-    # package uses besides its definition is a helper a change left behind.
+def module_names():
+    """Module-level names the package defines, the names it reads (loads and
+    attributes) and the names it imports."""
     trees = [ast.parse(path.read_text(), filename=str(path))
              for path in sorted(SOURCE.glob("*.py"))]
-    defined, used = set(), set()
+    defined, read, imported = set(), set(), set()
     for tree in trees:
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -65,10 +65,24 @@ def test_no_unused_private_names():
                 defined.update(t.id for t in targets if isinstance(t, ast.Name))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-                used.add(node.id)
+                read.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+                read.add(node.attr)
             elif isinstance(node, ast.alias):
-                used.add(node.name)
+                imported.add(node.name)
+    return defined, read, imported
+
+
+def test_no_unused_private_names():
+    # A module-level private function or constant that nothing in the
+    # package uses besides its definition is a helper a change left behind.
+    defined, read, imported = module_names()
     private = {name for name in defined if name.startswith("_") and not name.endswith("__")}
-    assert sorted(private - used) == []
+    assert sorted(private - read - imported) == []
+
+
+def test_no_unread_constants():
+    # A module-level UPPER_CASE constant that no code in the package reads
+    # (an import alone is not a read) is a setting a change left behind.
+    defined, read, _ = module_names()
+    assert sorted(name for name in defined if name.isupper() and name not in read) == []

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -16,9 +15,9 @@ from szegolab import (
     count_prediction,
     eigen_count,
     explicit_trace,
+    largest_eigenvalue_index,
     make_chart,
     monomial_rhs_circle,
-    norm_asymptote,
     poly_phi,
     power_phi,
     q_transform,
@@ -418,14 +417,13 @@ class TestSchatten:
         assert schatten_limit(fourier, 2.0) == pytest.approx(
             math.sqrt(power_integral(fourier, 2.0)), rel=1e-9)
 
-    def test_float_range_is_an_accuracy_error(self):
-        # (a (1-r^2)^-2)^1000 overflows: the limit's quadrature does not
-        # settle, so it raises rather than returning inf.
+    def test_float_range_is_a_domain_error(self):
+        # (a (1-r^2)^-2)^1000 overflows: the transform's Gauss ladder stops
+        # at its first order, with no numpy warning, rather than returning inf.
         model = CircleSymbolModel(r=0.5, alpha=100.0, fourier=(1.0, 0.2))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)   # the overflow itself
-            with pytest.raises(AccuracyError):
-                schatten_limit(model, 1000.0)
+        with pytest.raises(DomainError, match=r"q_transform\(eps=0.5, t=2.48889, .*"
+                                              r"at Gauss order 16 is past the float range"):
+            schatten_limit(model, 1000.0)
 
     def test_finite_positive_across_p(self):
         for p in (0.5, 1.0, 2.0, 4.0):
@@ -493,16 +491,17 @@ class TestConvergenceScan:
 
 
 class TestNormAsymptote:
+    # The largest eigenvalue's limit is the norm bound 1/(1-r^2)^2, and
+    # largest_eigenvalue_index gives the index where it occurs.
     def test_sqrt_half_radius(self):
-        asym = norm_asymptote(1 / math.sqrt(2))
-        assert asym.limit == pytest.approx(4.0, rel=1e-12)
-        assert asym.m_star(1e5) == 100001
-        assert asym.m_star(100.0) == 101
+        model = CircleSymbolModel(r=1 / math.sqrt(2), alpha=100.0)
+        assert model.norm_bound == pytest.approx(4.0, rel=1e-12)
+        assert largest_eigenvalue_index(model.r, 1e5) == 100001
+        assert largest_eigenvalue_index(model.r, 100.0) == 101
 
     def test_half_radius(self):
-        asym = norm_asymptote(0.5)
-        assert asym.limit == pytest.approx(16.0 / 9.0, rel=1e-14)
-        assert asym.m_star(100.0) == 33  # floor(101/3)
+        assert R_HALF.norm_bound == pytest.approx(16.0 / 9.0, rel=1e-14)
+        assert largest_eigenvalue_index(0.5, 100.0) == 33  # floor(101/3)
 
     def test_peak_value_converges(self):
         peak = math.exp(gammaln_spectrum.log_spectrum(1 / math.sqrt(2), 1e5).max())

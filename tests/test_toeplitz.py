@@ -33,7 +33,7 @@ from szegolab.toeplitz import (
     label_product_batch,
     phase_imag_batch,
 )
-from szegolab.errors import AccuracyError, ContractViolation, DomainError
+from szegolab.errors import ContractViolation, DomainError
 
 PROPERTY = settings(max_examples=40, deadline=None, database=None)
 
@@ -965,17 +965,49 @@ class TestLabelProduct:
 def dense_cyclic_sum(model, m, n_nodes):
     """The trapezoid sum as trace(W^m) of the kernel matrix built entry by entry."""
     r, alpha = model.r, model.alpha
+    c = (alpha + 1.0) * 2.0 * math.pi * r / (1.0 - r * r)
     theta = np.arange(n_nodes) / n_nodes
     diff = theta[:, None] - theta[None, :]
     base = 1.0 - r * r * np.exp(2j * np.pi * diff)
     log_edge = alpha * (math.log(1.0 - r * r) - np.log(base)) - 2.0 * np.log(base)
     with np.errstate(under="ignore"):
         edge = np.exp(log_edge)
-    weighted = (model.symbol_values(theta)[:, None] * edge) / n_nodes
+    weighted = (model.symbol_values(theta)[:, None] * edge) * (c / n_nodes)
     prod = weighted
     for _ in range(m - 1):
         prod = prod @ weighted
     return float(np.trace(prod).real)
+
+
+def _record_node_counts(monkeypatch):
+    # The list collects the node count of every walk of the composition trace.
+    calls = []
+    cyclic_trace = toeplitz._cyclic_trace
+
+    def counted(model, m, n_nodes):
+        calls.append(n_nodes)
+        return cyclic_trace(model, m, n_nodes)
+
+    monkeypatch.setattr(toeplitz, "_cyclic_trace", counted)
+    return calls
+
+
+def _composition_grid(count=400, seed=20):
+    # (model, m) over r in [0.05, 0.97], alpha log-uniform in [1e-2, 3e4],
+    # bandwidth K in 0..3 and m in 2..7; a Fourier symbol has a0 = 1 and
+    # sum |a_k| <= 0.5 over k >= 1, so it is positive.
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        r = rng.uniform(0.05, 0.97)
+        alpha = 10.0 ** rng.uniform(-2.0, math.log10(3e4))
+        band = int(rng.integers(0, 4))
+        m = int(rng.integers(2, 8))
+        fourier = None
+        if band:
+            coeffs = rng.normal(size=band) + 1j * rng.normal(size=band)
+            coeffs *= rng.uniform(0.05, 0.5) / np.sum(np.abs(coeffs))
+            fourier = (1.0,) + tuple(coeffs)
+        yield CircleSymbolModel(r=r, alpha=alpha, fourier=fourier), m
 
 
 class TestCompositionTrace:
@@ -1003,22 +1035,51 @@ class TestCompositionTrace:
     @pytest.mark.parametrize("fourier", [None, (1.0, 0.3, 0.1j)])
     @pytest.mark.parametrize("r, alpha", [(0.3, 5.0), (0.5, 50.0), (0.7, 200.0)])
     @pytest.mark.parametrize("m", [2, 3, 4])
-    def test_circulant_kernel_matches_dense_kernel(self, fourier, r, alpha, m):
-        # The kernel evaluated entry by entry on theta_j - theta_k, the
-        # public result's doubling included, at every node count it visits.
+    def test_circulant_kernel_matches_dense_kernel(self, fourier, r, alpha, m, monkeypatch):
+        # The kernel evaluated entry by entry on theta_j - theta_k, at the
+        # one node count the public result walks.
         model = CircleSymbolModel(r=r, alpha=alpha, fourier=fourier)
-        pref = ((alpha + 1.0) * 2.0 * math.pi * r / (1.0 - r * r)) ** m
-        prev, n_nodes = None, 64
-        while True:
-            want = dense_cyclic_sum(model, m, n_nodes)
-            got = toeplitz._cyclic_trace(model, m, n_nodes)
-            assert abs(got - want) <= 1e-14 * abs(want)
-            if prev is not None and abs(pref * want - prev) <= 1e-7 * abs(pref * want):
-                break
-            prev, n_nodes = pref * want, 2 * n_nodes
-            assert n_nodes <= 1024
+        walked = _record_node_counts(monkeypatch)
         quad = composition_trace_quadrature(model, m)
-        assert abs(quad - pref * want) <= 1e-14 * abs(pref * want)
+        (n_nodes,) = walked
+        want = dense_cyclic_sum(model, m, n_nodes)
+        assert abs(quad - want) <= 1e-14 * abs(want)
+
+    def test_one_node_count_matches_four_times_as_many(self, monkeypatch):
+        # The node count from the p = 1 window leaves nothing to gain: on a
+        # seeded grid the value at 4n differs only by rounding, against
+        # 2^-53 for the omitted tails.  The kernel's phase
+        # alpha arg(1 - r^2 e^(2 pi i theta)) magnifies the rounding of arg
+        # by alpha, m times over, so the gap is about m alpha u, u = 2^-53:
+        # the measured worst is 3 m (alpha + 2) u (1.4e-11 at alpha = 2.3e4,
+        # m = 5, where an extended-precision column leaves 4e-15).
+        cyclic_trace = toeplitz._cyclic_trace
+        walked = _record_node_counts(monkeypatch)
+        worst = 0.0
+        for model, m in _composition_grid():
+            walked.clear()
+            got = composition_trace_quadrature(model, m)
+            (n_nodes,) = walked
+            assert n_nodes > m * model.bandwidth
+            want = cyclic_trace(model, m, 4 * n_nodes)
+            rel = abs(got - want) / abs(want) / (m * (model.alpha + 2.0) * 2.0 ** -53)
+            worst = max(worst, rel)
+        assert worst <= 8.0
+
+    @pytest.mark.parametrize("fourier", [None, (1.0, 0.3, 0.1j)])
+    def test_narrow_windows_take_fewer_than_64_nodes(self, fourier, monkeypatch):
+        # r = 0.01, alpha = 1e-3: a window of 14 indices, so 16 nodes for
+        # the constant symbol and 32 or 64 with the band's 2mK added.
+        model = CircleSymbolModel(r=0.01, alpha=1e-3, fourier=fourier)
+        cyclic_trace = toeplitz._cyclic_trace
+        walked = _record_node_counts(monkeypatch)
+        for m in (2, 3, 7):
+            walked.clear()
+            got = composition_trace_quadrature(model, m)
+            (n_nodes,) = walked
+            assert n_nodes == 1 << (13 + 2 * m * model.bandwidth).bit_length() <= 64
+            want = cyclic_trace(model, m, 1024)
+            assert abs(got - want) <= 1e-15 * abs(want), (m, n_nodes)
 
     def test_walks_that_wrap_around_the_nodes(self):
         # Steps 21 + 21 + 22 = 64 close a walk on 64 nodes at offset 64, not
@@ -1054,18 +1115,35 @@ class TestCompositionTrace:
             with pytest.raises(DomainError, match="alpha > 0"):
                 composition_trace_quadrature(CircleSymbolModel(r=0.5, alpha=alpha), 2)
 
-    def test_node_cap_is_an_accuracy_error(self, monkeypatch):
-        # alpha = 1e4 converges at 2048 nodes; a cap of 512 walk entries
-        # stops the doubling at 512 and refuses the 1024-node step.
-        monkeypatch.setattr(toeplitz, "MAX_SPECTRUM_TERMS", 512)
-        with pytest.raises(AccuracyError,
-                           match=r"1024 nodes/axis .* cap of 512; last relative gap .*target 1e-07"):
-            composition_trace_quadrature(CircleSymbolModel(r=0.5, alpha=1e4), 2)
+    def test_node_cap_is_a_domain_error_before_the_walks(self, monkeypatch):
+        # r = 1/2, alpha = 1e4 takes 2048 nodes: 2048 walk entries at m = 2
+        # pass a cap of 2048, and a cap of 2047 refuses them before any walk.
+        model = CircleSymbolModel(r=0.5, alpha=1e4)
+        monkeypatch.setattr(toeplitz, "MAX_SPECTRUM_TERMS", 2048)
+        walked = _record_node_counts(monkeypatch)
+        composition_trace_quadrature(model, 2)
+        assert walked == [2048]
+        monkeypatch.setattr(toeplitz, "MAX_SPECTRUM_TERMS", 2047)
+        walked.clear()
+        with pytest.raises(DomainError,
+                           match=r"2048 nodes/axis, 2048 walk entries, above the cap of 2047"):
+            composition_trace_quadrature(model, 2)
+        assert walked == []
 
     def test_overflow_is_a_domain_error(self):
         for alpha, m in ((1e3, 200), (1e5, 10 ** 4)):
             with pytest.raises(DomainError, match="float range"):
                 composition_trace_quadrature(CircleSymbolModel(r=0.5, alpha=alpha), m)
+
+    def test_in_range_trace_past_the_prefactors_range(self):
+        # At r = 1/2, alpha = 1e3 the factor c = (alpha+1) 2 pi r/(1-r^2) is
+        # about 4.2e3, so c^m overflows from m = 85 while the trace, about
+        # 141^m, stays in range up to m = 143.
+        model = CircleSymbolModel(r=0.5, alpha=1e3)
+        for m in (100, 143):
+            want = (2.0 * math.pi * 1e3) ** (m / 2) * explicit_trace(model, power_phi(m))
+            got = composition_trace_quadrature(model, m)
+            assert abs(got - want) <= 1e-11 * want, m
 
     def test_out_of_range_length_refused_before_the_walks(self, monkeypatch):
         # (a0 d_peak)^m overflows, or a0 sum(d) (sup a d_peak)^(m-1)

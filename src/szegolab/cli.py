@@ -288,8 +288,7 @@ def cmd_trace_compare(args) -> int:
     # normalized eigenvalues lambda.
     eig_trace = explicit_trace(model, power_phi(m))
     try:
-        with np.errstate(over="ignore"):
-            eig_sum = (2.0 * math.pi * alpha) ** (m / 2) * eig_trace
+        eig_sum = (2.0 * math.pi * alpha) ** (m / 2) * eig_trace
     except OverflowError:  # the float power, past the float range
         eig_sum = math.inf
     if not math.isfinite(eig_sum):

@@ -135,14 +135,19 @@ def sqrt_det_from_spectrum(m: int, d: int, lambdas) -> float:
     """sqrt(det) from the +-i*lambda_k pairs of W.
 
     Zero pairs contribute the factor m; the remaining dimension (d odd)
-    contributes sqrt(m).
+    contributes sqrt(m).  DomainError for a value past the float range.
     """
     lams = [float(v) for v in lambdas]
     if 2 * len(lams) > d:
         raise DomainError(f"{len(lams)} eigenvalue pairs do not fit dimension {d}")
-    out = m ** (0.5 * (d - 2 * len(lams)))
+    try:
+        out = m ** (0.5 * (d - 2 * len(lams)))
+    except OverflowError:  # the float power
+        out = math.inf
     for lam in lams:
         out *= scalar_block_factor(m, lam)
+    if not math.isfinite(out):
+        raise DomainError(f"sqrt(det) for m={m}, d={d} exceeds the float range")
     return out
 
 
@@ -160,24 +165,30 @@ def det_closed_form(m: int, n: int, d: int, cls) -> ClosedFormDet:
     sqrt(det) = m^{d/2} (isotropic or lagrangian) or
     2^{(d-n)(m-1)} m^{n-d/2} (co-isotropic).  The unified constant equals
     2^{d'(m-1)/2} m^{-d'/2} with d' = d (isotropic) or 2n - d (co-isotropic).
+    DomainError when a power leaves the float range.
     """
     tag = cls.tag if isinstance(cls, SymplecticClass) else str(cls)
     if m < 2:
         raise DomainError(f"need m >= 2, got {m}")
-    if tag in ("isotropic", "lagrangian"):
-        dprime = d
-        sqrt_det = float(m) ** (d / 2.0)
-    elif tag == "co-isotropic":
-        if d < n:
-            raise DomainError(f"co-isotropic requires d >= n, got d={d}, n={n}")
-        dprime = 2 * n - d
-        sqrt_det = 2.0 ** ((d - n) * (m - 1)) * float(m) ** (n - d / 2.0)
-    else:
+    if tag not in ("isotropic", "lagrangian", "co-isotropic"):
         raise UnsupportedClassError(
             f"no closed determinant form for class {tag!r}")
-    unified = 2.0 ** (dprime * (m - 1) / 2.0) * float(m) ** (-dprime / 2.0)
-    # Same number, written through d; kept as a consistency guard.
-    if abs(unified - 2.0 ** (d * (m - 1) / 2.0) / sqrt_det) > 1e-12 * unified:
+    if tag == "co-isotropic" and d < n:
+        raise DomainError(f"co-isotropic requires d >= n, got d={d}, n={n}")
+    try:
+        if tag == "co-isotropic":
+            dprime = 2 * n - d
+            sqrt_det = 2.0 ** ((d - n) * (m - 1)) * float(m) ** (n - d / 2.0)
+        else:
+            dprime = d
+            sqrt_det = float(m) ** (d / 2.0)
+        unified = 2.0 ** (dprime * (m - 1) / 2.0) * float(m) ** (-dprime / 2.0)
+        # Same number, written through d; kept as a consistency guard.
+        through_d = 2.0 ** (d * (m - 1) / 2.0) / sqrt_det
+    except OverflowError:  # a float power
+        raise DomainError(f"closed-form determinant for m={m}, n={n}, d={d} "
+                          f"exceeds the float range") from None
+    if abs(unified - through_d) > 1e-12 * unified:
         raise AccuracyError(
             f"closed forms disagree for m={m}, n={n}, d={d}, class {tag!r}")
     return ClosedFormDet(sqrt_det=sqrt_det, unified=unified)

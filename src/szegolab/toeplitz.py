@@ -267,8 +267,8 @@ def _slope(model: CircleSymbolModel, m: float) -> float:
     return math.log(model.r * model.r * (model.alpha + m + 2.0) / (m + 1.0))
 
 
-def _log_ratio_bounds(model: CircleSymbolModel, c: int, k: int) -> tuple:
-    """Closed-form bounds (below, above) on log(lambda_(c+k)/lambda_c), k != 0.
+def _log_ratio_bound(model: CircleSymbolModel, c: int, k: int) -> float:
+    """Closed-form upper bound on log(lambda_(c+k)/lambda_c), k != 0.
 
     The log is S, the sum of D = ``_slope`` over lo..hi = c..c+k-1, for k > 0
     and -S over c+k..c-1 for k < 0.  D is convex for alpha > -1, so by
@@ -276,16 +276,18 @@ def _log_ratio_bounds(model: CircleSymbolModel, c: int, k: int) -> tuple:
     the integral of D over [lo, hi] plus (D(lo) + D(hi))/2, and the integral
     over [lo - 1/2, hi + 1/2], h D(x+h) + (n+x) log1p(h/(n+x)) -
     (x+1) log1p(h/(x+1)) over [x, x + h], n = alpha + 2: no term of size
-    alpha cancels, and the pair rounds by up to about 5 u |k|, u = 2^-53.
+    alpha cancels, and each form rounds by up to about 5 u |k|, u = 2^-53.
+    The bound is the widened integral for k > 0 and minus the trapezoid rule
+    for k < 0; the lower bound is -``_log_ratio_bound(model, c + k, -k)``.
     """
     def integral(x, y):
         h, n = y - x, model.alpha + 2.0 + x
         return h * _slope(model, y) + n * math.log1p(h / n) - (x + 1.0) * math.log1p(h / (x + 1.0))
 
-    lo, hi = (c, c + k - 1) if k > 0 else (c + k, c - 1)
-    below = integral(lo, hi) + 0.5 * (_slope(model, lo) + _slope(model, hi))
-    above = integral(lo - 0.5, hi + 0.5)
-    return (below, above) if k > 0 else (-above, -below)
+    if k > 0:
+        return integral(c - 0.5, c + k - 0.5)
+    lo, hi = c + k, c - 1
+    return -(integral(lo, hi) + 0.5 * (_slope(model, lo) + _slope(model, hi)))
 
 
 def _first_width(model: CircleSymbolModel, drop: float, side: int) -> int:
@@ -330,14 +332,17 @@ def _window_ends(model: CircleSymbolModel, thresholds, relative: bool = False) -
 
     The ratio of successive eigenvalues falls, so the set is one index
     interval around the peak, found by one evaluation of m* - 1..m* + 1.  On
-    each side the end lies j - 1 to J - 1 steps out, j and J the least steps
-    where the lower and the upper ``_log_ratio_bounds`` fall below
-    log(t/lambda_peak); one ``_log_diagonal`` call per t takes both sides
-    over steps j - 2..J + 1, margins for rounding: the bounds round by up to
-    about 5 u k at k steps (u = 2^-53), under the step of about k/sigma^2 in
-    log lambda there while sigma^2 = (alpha+2) r^2/(1-r^2)^2 <= 2^50.
-    DomainError past that, or if the values do not fall through t inside
-    the steps.
+    each side, J is the least step where ``_log_ratio_bound`` falls below
+    log(t/lambda_peak), so the end lies under J steps out.  The lower bound,
+    the other Hermite-Hadamard form, trails it by about an eighth of the
+    change of D' over the steps (D = ``_slope``), and fell below at J - 1
+    or J on every seeded side tested, from 1e-300 of the peak to ties next
+    to it, so the end lies J - 2 or J - 1 steps out.  One ``_log_diagonal``
+    call per t takes both sides over steps J - 3..J + 1, margins for
+    rounding: the bounds round by up to about 5 u k at k steps
+    (u = 2^-53), under the step of about k/sigma^2 in log lambda there while
+    sigma^2 = (alpha+2) r^2/(1-r^2)^2 <= 2^50.  DomainError past that, or
+    if the values do not fall through t inside the steps.
     """
     r, a = model.r, model.alpha
     m_star = largest_eigenvalue_index(r, a)
@@ -353,13 +358,11 @@ def _window_ends(model: CircleSymbolModel, thresholds, relative: bool = False) -
         thresholds = [t * top for t in thresholds]
 
     def steps(side: int, drop: float) -> np.ndarray:
-        # steps j - 2..J + 1 of one side; below the peak, step peak + 1 (index -1) is below t
-        def least(b: int, guess: int, hi) -> int:
-            return _least(lambda k: _log_ratio_bounds(model, peak, side * k)[b] + drop,
-                          guess, drop, hi)
-
-        far = least(1, _first_width(model, drop, side), math.inf if side > 0 else peak + 1)
-        return np.arange(max(least(0, far - 1, far) - 2, 0), far + 2)
+        # steps J - 3..J + 1 of one side; below the peak, step peak + 1 (index -1) is below t
+        far = _least(lambda k: _log_ratio_bound(model, peak, side * k) + drop,
+                     _first_width(model, drop, side), drop,
+                     math.inf if side > 0 else peak + 1)
+        return np.arange(max(far - 3, 0), far + 2)
 
     def ends(t: float) -> tuple:
         drop = math.log(top) - math.log(t)
@@ -385,8 +388,9 @@ def explicit_count(model: CircleSymbolModel, t1: float, t2: float) -> int:
     compares an array of them: an upper end at the norm bound counts every
     eigenvalue >= t1.  The count is #{lambda >= t1} -
     #{lambda >= nextafter(t2, inf)}, each term the length of a window whose
-    ends come from closed-form bounds and one ``_log_diagonal`` call of a few
-    indices per threshold, so it runs in bounded memory at any peak index.
+    ends come from one closed-form bound search per side and one
+    ``_log_diagonal`` call of at most ten indices per threshold, so it runs
+    in bounded memory at any peak index.
     DomainError for a t1 that is not a finite normal float: infinitely many
     eigenvalues lie above t1 <= 0, and subnormal values have lost their
     digits.
@@ -406,11 +410,11 @@ def explicit_count(model: CircleSymbolModel, t1: float, t2: float) -> int:
 def _trace_window(model: CircleSymbolModel, p: float) -> tuple:
     """Index window (first, last) of the constant-symbol spectrum for sum lambda^p.
 
-    With tol = 2^-53, B the upper ``_log_ratio_bounds`` and D = ``_slope``,
-    each side ends k from m* (the lower side stops at 0), the first k up
-    from the side's ``_first_width`` with p B(m*, +-k) + log(d/(1-d)) <
-    log tol, where d = exp(p D(m*+k)) above and exp(-p D(m*-k-1)) below.  As
-    D falls, d bounds every ratio of successive lambda^p leaving the window,
+    With tol = 2^-53, B = ``_log_ratio_bound`` and D = ``_slope``, each
+    side ends k from m* (the lower side stops at 0), the first k up from the
+    side's ``_first_width`` with p B(m*, +-k) + log(d/(1-d)) < log tol,
+    where d = exp(p D(m*+k)) above and exp(-p D(m*-k-1)) below.  As D
+    falls, d bounds every ratio of successive lambda^p leaving the window,
     so each omitted tail of sum lambda^p is at most the end term times
     d/(1-d), which B puts below tol lambda_m*^p, below tol times the
     window's sum.  No eigenvalue is evaluated.  DomainError for a guess
@@ -424,7 +428,7 @@ def _trace_window(model: CircleSymbolModel, p: float) -> tuple:
         if not log_d < 0.0:   # near 2^53 a ratio next to m* can round to 1 or more
             raise DomainError(f"the eigenvalue ratio at index {m_star + k} does not "
                               f"resolve below 1 in floats (alpha={model.alpha:g}, p={p:g})")
-        return p * _log_ratio_bounds(model, m_star, k)[1] + log_d \
+        return p * _log_ratio_bound(model, m_star, k) + log_d \
             - math.log(-math.expm1(log_d)) - log_tol
 
     guess = _first_width(model, -log_tol / p, 1)

@@ -163,6 +163,17 @@ class TestSpectralForms:
             from_spec = sqrt_det_from_spectrum(5, d, lams) ** 2
             assert abs(direct - from_spec) <= 1e-9 * abs(direct)
 
+    def test_past_float_range(self):
+        # m^(d/2) past the float range overflows in the power, and a product
+        # of large factors reaches inf; both are refused, small cases kept.
+        with pytest.raises(DomainError, match="float range"):
+            sqrt_det_from_spectrum(1000, 300, [])
+        with pytest.raises(DomainError, match="float range"):
+            sqrt_det_from_spectrum(100, 2, [1e200])
+        assert sqrt_det_from_spectrum(3, 3, [0.5]) == pytest.approx(3.25 * math.sqrt(3.0),
+                                                                    rel=1e-15)
+        assert sqrt_det_from_spectrum(4, 4, []) == 16.0
+
 
 class TestClosedForms:
     def test_isotropic_m2(self):
@@ -203,6 +214,16 @@ class TestClosedForms:
                 direct = det_direct(build_block_matrix(BlockHessianSpec(m=m, W=w)))
                 want = det_closed_form(m, n=n, d=d, cls="co-isotropic").sqrt_det ** 2
                 assert abs(direct - want) <= 1e-10 * abs(want)
+
+    def test_past_float_range(self):
+        # 2^(d(m-1)/2) is the largest power: 2^1023.5 at m = 2048, d = 1,
+        # past the float range from m = 2049.
+        cf = det_closed_form(2048, n=1, d=1, cls="isotropic")
+        assert cf.unified == pytest.approx(2.0 ** 1023.5 / math.sqrt(2048.0), rel=1e-15)
+        for m, n, d, cls in ((2049, 1, 1, "isotropic"), (10 ** 6, 1, 1, "isotropic"),
+                             (3000, 10, 20, "isotropic"), (3000, 10, 15, "co-isotropic")):
+            with pytest.raises(DomainError, match="float range"):
+                det_closed_form(m, n=n, d=d, cls=cls)
 
     def test_unsupported_class(self):
         with pytest.raises(UnsupportedClassError):

@@ -4,7 +4,7 @@ catch.
 Runtime checks raise the package's own errors: an ``assert`` vanishes under
 ``python -O`` and reports an AssertionError instead of a DomainError.  The
 README's command table is the CLI's user documentation, so it names exactly
-the flags each command declares.
+the flags each command declares, and the private helpers it names exist.
 """
 
 import ast
@@ -86,3 +86,17 @@ def test_no_unread_constants():
     # (an import alone is not a read) is a setting a change left behind.
     defined, read, _ = module_names()
     assert sorted(name for name in defined if name.isupper() and name not in read) == []
+
+
+def readme_private_names(text):
+    """The ``_private`` identifiers that README text names in backticks,
+    alone or as the last part of a dotted name."""
+    return set(re.findall(r"`(?:[A-Za-z]\w*\.)*(_[A-Za-z]\w*)[`(]", text))
+
+
+def test_readme_private_names_exist():
+    # A helper renamed or deleted in the package leaves README describing
+    # a name that no longer exists.
+    defined, _, _ = module_names()
+    named = readme_private_names((ROOT / "README.md").read_text())
+    assert sorted(named - defined) == []

@@ -360,10 +360,11 @@ class TestExplicitCount:
         assert explicit_count(model, t1, model.norm_bound) == want
 
     def test_bounds_bracket_the_log_ratios(self):
-        # The closed-form pair brackets the evaluator's log(lambda_(m*+k) /
-        # lambda_m*) on both sides, out to the ends of the 1e-300 window, up
-        # to rounding: the bounds' own, up to 5 u |k| on 600 such rows
-        # (u = 2^-53), and the evaluator's, up to 1e-13.
+        # The closed-form bound and its reverse, the lower bound, bracket
+        # the evaluator's log(lambda_(m*+k) / lambda_m*) on both sides, out
+        # to the ends of the 1e-300 window, up to rounding: the bounds' own,
+        # up to 5 u |k| on 600 such rows (u = 2^-53), and the evaluator's,
+        # up to 1e-13.
         rng = np.random.default_rng(19)
         for r, log_alpha in zip(1.0 - 10.0 ** rng.uniform(-4.0, math.log10(0.95), 40),
                                 rng.uniform(math.log10(0.5), 7.0, 40)):
@@ -374,18 +375,70 @@ class TestExplicitCount:
                   for k in np.unique(np.geomspace(1, reach, 25).astype(int))]
             ln = _log_eigenvalues(model, c + np.array(ks)) - _log_eigenvalues(model, [c])[0]
             for k, v in zip(ks, ln):
-                below, above = toeplitz._log_ratio_bounds(model, c, int(k))
+                k = int(k)
+                below = -toeplitz._log_ratio_bound(model, c + k, -k)
+                above = toeplitz._log_ratio_bound(model, c, k)
                 tol = 1e-12 + 8.0 * 2.0 ** -53 * abs(k)
                 assert below - tol <= v <= above + tol
 
+    def test_lower_bound_trails_by_at_most_one_step(self):
+        # The basis of the count's margin: on each side the lower bound
+        # falls below log(t/lambda_peak) at most one step before the upper
+        # bound does (J - j <= 1), or by rounding one step after, so steps
+        # J - 3..J + 1 hold the end and one step of margin each way.  Thresholds run from 1e-300 of the
+        # peak to the values next to it, on them and within 1e-15, rows up
+        # to sigma^2 = 2^50, and the last rows hold exact ties, where
+        # (alpha + 1) r^2/(1 - r^2) = M (2^b - 1)^2 is an integer.
+        rng = np.random.default_rng(21)
+        rows = []
+        for r, log2_sigma2 in zip(1.0 - 10.0 ** rng.uniform(-4.0, math.log10(0.95), 200),
+                                  rng.uniform(0.0, 50.0, 200)):
+            alpha = 2.0 ** log2_sigma2 * (1.0 - r * r) ** 2 / (r * r) - 2.0
+            if alpha > 0.5:
+                rows.append((r, alpha))
+        for b, log2_m in zip(rng.integers(1, 11, 40), rng.uniform(0.0, 20.0, 40)):
+            rows.append((1.0 - 2.0 ** -int(b),
+                         math.floor(2.0 ** log2_m) * (2.0 ** (int(b) + 1) - 1.0) - 1.0))
+        sides = 0
+        for r, alpha in rows:
+            model = CircleSymbolModel(r=r, alpha=alpha)
+            m_star = largest_eigenvalue_index(r, alpha)
+            near = np.arange(max(m_star - 1, 0), m_star + 2)
+            at_near = np.exp(_log_eigenvalues(model, near))
+            peak, top = int(near[np.argmax(at_near)]), float(at_near.max())
+            nearby = np.exp(_log_eigenvalues(model, np.arange(max(peak - 2, 0), peak + 3)))
+            ts = [top * 10.0 ** w for w in rng.uniform(-300.0, 0.0, 4)] + [1e-300 * top]
+            ts += [float(v) * (1.0 + e) for v in nearby for e in (0.0, 1e-15, -1e-15)]
+            for t in (t for t in ts if t <= top):
+                drop = math.log(top) - math.log(t)
+                for side, hi in ((1, math.inf), (-1, peak + 1)):
+                    def upper(k):
+                        return toeplitz._log_ratio_bound(model, peak, side * k)
+
+                    def lower(k):
+                        return -toeplitz._log_ratio_bound(model, peak + side * k, -side * k)
+
+                    far = toeplitz._least(lambda k: upper(k) + drop,
+                                          toeplitz._first_width(model, drop, side), drop, hi)
+                    if far > peak and side < 0:
+                        continue   # the window reaches index 0
+                    j = far   # the least step where the lower bound falls below
+                    while j > 1 and lower(j - 1) < -drop:
+                        j -= 1
+                    while not lower(j) < -drop:   # rounding can put j past J
+                        j += 1
+                    assert abs(far - j) <= 1, (r, alpha, t, side)
+                    sides += 1
+        assert sides > 3000
+
     def test_a_few_indices_per_threshold(self, monkeypatch):
         # One _log_diagonal call finds the peak and one per threshold takes
-        # both of its window ends, a few indices each, and the steps come
-        # from few evaluations of the closed-form bounds, whatever r, alpha
-        # and t1 are (at most 58 on 8,000 seeded counts).
+        # both of its window ends, up to 10 indices, and the steps come
+        # from few evaluations of the closed-form bound, whatever r, alpha
+        # and t1 are (at most 51 on 8,000 seeded counts).
         calls = _record_indices(monkeypatch)
-        bound, evaluations = toeplitz._log_ratio_bounds, []
-        monkeypatch.setattr(toeplitz, "_log_ratio_bounds",
+        bound, evaluations = toeplitz._log_ratio_bound, []
+        monkeypatch.setattr(toeplitz, "_log_ratio_bound",
                             lambda *args: evaluations.append(None) or bound(*args))
         rng = np.random.default_rng(23)
         cases = [(0.9999, 1e3, 1e-300), (0.05, 0.5, 1e-300), (0.5, 1e12, 0.5)] + [
@@ -403,12 +456,11 @@ class TestExplicitCount:
                 assert len(evaluations) <= 80
 
     def test_a_missed_crossing_is_refused(self, monkeypatch):
-        # The evaluation checks what the bounds claim: bounds moved up by 1
-        # put both brackets past the crossings, and the count is refused
-        # rather than taken from the values at hand.
-        bounds = toeplitz._log_ratio_bounds
-        monkeypatch.setattr(toeplitz, "_log_ratio_bounds",
-                            lambda *args: tuple(b + 1.0 for b in bounds(*args)))
+        # The evaluation checks what the bound claims: a bound moved up by 1
+        # puts both sides' steps past the crossings, and the count is
+        # refused rather than taken from the values at hand.
+        bound = toeplitz._log_ratio_bound
+        monkeypatch.setattr(toeplitz, "_log_ratio_bound", lambda *args: bound(*args) + 1.0)
         model = CircleSymbolModel(r=0.5, alpha=1e4)
         with pytest.raises(DomainError, match="fall through"):
             explicit_count(model, 0.5, model.norm_bound)
@@ -569,9 +621,9 @@ class TestExplicitTrace:
         sigma = math.sqrt(model.alpha + 2.0) * model.r / (1.0 - model.r ** 2)
         moved = m_star + int(shift * 8.57 * sigma / math.sqrt(phi.p_exponent))
         monkeypatch.setattr(toeplitz, "largest_eigenvalue_index", lambda r, a: moved)
-        bound = toeplitz._log_ratio_bounds
+        bound = toeplitz._log_ratio_bound
         events = _record_indices(monkeypatch)   # the indices of each evaluation
-        monkeypatch.setattr(toeplitz, "_log_ratio_bounds",
+        monkeypatch.setattr(toeplitz, "_log_ratio_bound",
                             lambda *args: events.append(None) or bound(*args))
         got = explicit_trace(model, phi)
         start = next(i for i, e in enumerate(events) if e is not None)

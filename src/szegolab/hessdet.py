@@ -165,7 +165,9 @@ def det_closed_form(m: int, n: int, d: int, cls) -> ClosedFormDet:
     sqrt(det) = m^{d/2} (isotropic or lagrangian) or
     2^{(d-n)(m-1)} m^{n-d/2} (co-isotropic).  The unified constant equals
     2^{d'(m-1)/2} m^{-d'/2} with d' = d (isotropic) or 2n - d (co-isotropic).
-    DomainError when a power leaves the float range.
+    DomainError for a d that does not fit the class (1 <= d <= n isotropic,
+    d = n lagrangian, n <= d <= 2n co-isotropic) or a power that leaves the
+    float range.
     """
     tag = cls.tag if isinstance(cls, SymplecticClass) else str(cls)
     if m < 2:
@@ -173,8 +175,9 @@ def det_closed_form(m: int, n: int, d: int, cls) -> ClosedFormDet:
     if tag not in ("isotropic", "lagrangian", "co-isotropic"):
         raise UnsupportedClassError(
             f"no closed determinant form for class {tag!r}")
-    if tag == "co-isotropic" and d < n:
-        raise DomainError(f"co-isotropic requires d >= n, got d={d}, n={n}")
+    lo, hi = {"isotropic": (1, n), "lagrangian": (n, n), "co-isotropic": (n, 2 * n)}[tag]
+    if not lo <= d <= hi:
+        raise DomainError(f"class {tag!r} needs {lo} <= d <= {hi} in B_n, got d={d}, n={n}")
     try:
         if tag == "co-isotropic":
             dprime = 2 * n - d

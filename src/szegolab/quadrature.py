@@ -12,8 +12,9 @@ from .errors import AccuracyError, DomainError
 __all__ = ["gauss_legendre", "panel_integral", "graded_edges", "adaptive_integral"]
 
 # The most values one call of an integrand returns (unless one panel needs
-# more).  Blocks this size stay in cache: 2^13 ran a vector q_transform
-# faster than 2^16 and with less memory.
+# more).  Blocks this size stay in cache: with q_transform's 256-row chunks,
+# 2^13 ran its 32- and 96-point calls 4-12% faster than 2^16, which ran a
+# 1,024-point call 15-20% faster (2 cores, best of 30 calls, alternating).
 BLOCK_ELEMENTS = 2 ** 13
 
 

@@ -127,20 +127,25 @@ def q_transform(spec: QTransformSpec, t):
         (1/Gamma(eps+1)) int_0^inf phi(t e^{-v^{1/eps}}) dv.
     Geometrically graded panels toward v = 0 handle the Holder endpoint for
     eps > 1; the tail is cut at v_max(t), where the argument of phi
-    underflows (phi vanishes at 0 at declared rate p).  Monomials come out
-    to ~1e-15 relative; the contract target is 1e-8.
+    underflows (phi vanishes at 0 at declared rate p), and a cut past the
+    float range (a tiny p or a large eps) raises DomainError.  Monomials come
+    out to ~1e-15 relative; the contract target is 1e-8.
 
     The panels are v_max(t) times one set of unit edges, so every t shares
     the unit nodes and weights and its integral is scaled by v_max(t).  An
     array of t is one vector integrand of the Gauss ladder, taken in chunks
-    of rows small enough that one panel at the ladder's top order stays
-    within ``quadrature.BLOCK_ELEMENTS`` values; each element is accepted at
-    its own first agreeing order, so it equals the scalar call for that t.
-    The block bound keeps the temporaries in cache, which ran faster than
-    larger blocks.  An element that exhausts the ladder raises AccuracyError
-    naming its t, and one whose integral leaves the float range raises
-    DomainError at the first such order.  A scalar t gives a float, an array
-    t an array.
+    of ``BLOCK_ELEMENTS // (2 * Q_ORDER)`` = 256 rows: the first two orders
+    of the ladder, which every point needs, take one panel of a chunk per
+    integrand call within ``quadrature.BLOCK_ELEMENTS`` values, so a call of
+    up to 256 points runs one ladder.  Each element is accepted at its own
+    first agreeing order, so it equals the scalar call for that t, bit for
+    bit.  A point that needs a higher order drags the rest of its chunk up
+    the ladder with it, in calls of one panel of 256 rows, above the block
+    bound: one hard point among 1,024 (a step phi at eps = 1) took 4 to 5
+    times as long as with chunks of 8 rows.  An element that exhausts
+    the ladder raises AccuracyError naming its t, and one whose integral
+    leaves the float range raises DomainError at the first such order.  A
+    scalar t gives a float, an array t an array.
     """
     scalar = np.ndim(t) == 0
     ts = np.atleast_1d(np.asarray(t, dtype=float))
@@ -156,9 +161,12 @@ def q_transform(spec: QTransformSpec, t):
         vals = np.asarray(spec.phi(ts), dtype=float)
         return float(vals[0]) if scalar else vals
     unit_edges = graded_edges(0.0, 1.0, levels=48)
-    v_max = ((710.0 + np.abs(np.log(ts))) / min(spec.phi.p_exponent, 1.0)) ** eps
-    top_order = Q_ORDER * 2 ** Q_MAX_DOUBLINGS
-    rows = max(1, BLOCK_ELEMENTS // top_order)
+    with np.errstate(over="ignore"):
+        v_max = ((710.0 + np.abs(np.log(ts))) / min(spec.phi.p_exponent, 1.0)) ** eps
+    if not np.isfinite(v_max).all():
+        raise DomainError(f"q_transform(eps={eps:g}, t={ts[~np.isfinite(v_max)][0]:g}): the "
+                          f"tail cut is past the float range (p={spec.phi.p_exponent:g})")
+    rows = BLOCK_ELEMENTS // (2 * Q_ORDER)
     vals = np.empty_like(ts)
     with np.errstate(under="ignore"):
         for start in range(0, ts.size, rows):
@@ -175,15 +183,19 @@ def q_transform(spec: QTransformSpec, t):
 def _q_integrand(phi: PhiFunction, ts: np.ndarray, v_max: np.ndarray, inv_eps: float):
     """Rows phi(t e^{-(v_max w)^{1/eps}}) over unit abscissae w, one row per t.
 
-    The argument of phi is built in place in one (len(ts), len(w)) array.
+    The exponent is formed as u_max w^{1/eps}, u_max = v_max^{1/eps}: w^{1/eps}
+    is taken once per node column, and u_max with the same rounded 1/eps, so
+    the rounding of the tail cut still cancels against the factor v_max of
+    the integral (the cut in u before its power eps, which misses that
+    rounding, moved values by up to 11 ulps at eps = 2.5).  The argument of
+    phi is then built in three passes over one (len(ts), len(w)) array: the
+    product, then exp and the factor t in place.
     """
     ts = ts[:, None]
-    v_max = v_max[:, None]
+    u_max = v_max[:, None] ** inv_eps
 
     def integrand(w):
-        arg = v_max * np.maximum(w, 0.0)
-        arg **= inv_eps
-        np.negative(arg, out=arg)
+        arg = u_max * -(np.maximum(w, 0.0) ** inv_eps)
         np.exp(arg, out=arg)
         arg *= ts
         return phi(arg)

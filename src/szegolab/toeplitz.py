@@ -151,9 +151,13 @@ def largest_eigenvalue_index(r: float, alpha: float) -> int:
     """Index floor((alpha + 1) r^2 / (1 - r^2)) of the largest eigenvalue.
 
     A 1e-9 nudge guards against the ratio landing an ulp below an integer
-    (e.g. r = 1/sqrt(2), where r^2 rounds just under 1/2).
+    (e.g. r = 1/sqrt(2), where r^2 rounds just under 1/2).  DomainError for
+    an index past the float range.
     """
-    return int(math.floor((alpha + 1.0) * r * r / (1.0 - r * r) + 1e-9))
+    ratio = (alpha + 1.0) * r * r / (1.0 - r * r)
+    if not math.isfinite(ratio):
+        raise DomainError(f"the peak index is past the float range (r={r:g}, alpha={alpha:g})")
+    return int(math.floor(ratio + 1e-9))
 
 
 def _stirlerr_lgamma(x: float) -> float:
@@ -258,7 +262,7 @@ def _check_index(m: int) -> None:
     # _log_diagonal takes float indices, exact only up to 2^53; past there
     # neighbours round together and no window search resolves them.
     if m > 2 ** 53:
-        raise DomainError(f"the window search would reach index {m}, past 2^53 "
+        raise DomainError(f"the window search would reach index {m:.3g}, past 2^53 "
                           f"where float indices stop being exact")
 
 
@@ -294,8 +298,12 @@ def _first_width(model: CircleSymbolModel, drop: float, side: int) -> int:
     # Where log lambda falls by ``drop`` from m* above (side 1) or below (-1): the pmf's width
     # sqrt(2 drop) sigma, sigma = sqrt(alpha+2) r/(1-r^2), plus side times its skewness term.
     r, a = model.r, model.alpha
-    return max(math.ceil(math.sqrt(2.0 * drop * (a + 2.0)) * r / (1.0 - r * r)
-                         + side * drop * (1.0 + r * r) / (3.0 * (1.0 - r * r))), 1)
+    width = (math.sqrt(2.0 * drop * (a + 2.0)) * r / (1.0 - r * r)
+             + side * drop * (1.0 + r * r) / (3.0 * (1.0 - r * r)))
+    if not math.isfinite(width):
+        raise DomainError(f"the window width for a fall of {drop:.3g} in log lambda is "
+                          f"past the float range (r={r:g}, alpha={a:g})")
+    return max(math.ceil(width), 1)
 
 
 def _reach(g, k: int, drop: float) -> int:
@@ -417,10 +425,12 @@ def _trace_window(model: CircleSymbolModel, p: float) -> tuple:
     falls, d bounds every ratio of successive lambda^p leaving the window,
     so each omitted tail of sum lambda^p is at most the end term times
     d/(1-d), which B puts below tol lambda_m*^p, below tol times the
-    window's sum.  No eigenvalue is evaluated.  DomainError for a guess
-    past index 2^53 (``_check_index``) or a ratio that rounds to 1 or more.
+    window's sum.  No eigenvalue is evaluated.  DomainError for a peak or a
+    guess past index 2^53 (``_check_index``), a width past the float range
+    (``_first_width``, as for a tiny p) or a ratio that rounds to 1 or more.
     """
     m_star = largest_eigenvalue_index(model.r, model.alpha)
+    _check_index(m_star)
     log_tol = math.log(_TAIL_TOL)
 
     def excess(k: int) -> float:
@@ -615,22 +625,24 @@ def composition_trace_quadrature(model: CircleSymbolModel, m: int) -> float:
     each omitted tail of sum d is at most 2^-53 of the window's sum (p = 1
     is the widest window for any m >= 2).  DomainError, before any walk, when
     the n (2mK + 1) walk entries exceed MAX_SPECTRUM_TERMS (r = 0.999,
-    alpha = 1e5 takes n = 2^22), for m not an integer >= 2, alpha <= 0, or a
-    trace whose bounds leave the float range.
+    alpha = 1e5 takes n = 2^22), for m not an integer >= 2, alpha <= 0, a
+    peak index past 2^53 (before any evaluation), or a trace whose bounds
+    leave the float range.
     """
     if m < 2 or int(m) != m:
         raise DomainError(f"composition length must be an integer >= 2, got {m}")
     if not model.alpha > 0.0:
         raise DomainError("composition trace requires alpha > 0")
     r, a = model.r, model.alpha
+    m_star = largest_eigenvalue_index(r, a)
+    _check_index(m_star)
     # a0 d_peak is the largest diagonal entry and sup a d_peak bounds the
     # norm, so the trace lies between (a0 d_peak)^m and
     # a0 sum(d) (sup a d_peak)^(m-1), sum(d) = 2 pi (alpha+1) r (1-r^2)^-3.
     # a0 = 0 only for the zero symbol, whose trace is 0.
     a0 = model.fourier_coefficient(0).real
     if a0 > 0.0:
-        log_peak = float(_log_diagonal(
-            model, [largest_eigenvalue_index(r, a)], math.log(2.0 * math.pi))[0])
+        log_peak = float(_log_diagonal(model, [m_star], math.log(2.0 * math.pi))[0])
         log_sup = math.log(model.norm_bound) + 2.0 * math.log(1.0 - r * r)
         if m * (math.log(a0) + log_peak) > math.log(sys.float_info.max):
             raise DomainError(f"composition trace of length {m} exceeds the float range")

@@ -135,7 +135,7 @@ def test_criterion_03_determinant_identity_suite():
             for m in (2, 3, 5):
                 direct = det_direct(build_block_matrix(
                     BlockHessianSpec(m=m, W=np.zeros((d, d)))))
-                want = det_closed_form(m, n=2, d=d, cls="isotropic").sqrt_det ** 2
+                want = det_closed_form(m, n=3, d=d, cls="isotropic").sqrt_det ** 2
                 check(f, abs(direct - want) <= 1e-10 * abs(want),
                       f"isotropic closed form (d={d}, m={m})")
         for n, d in ((1, 2), (2, 3), (2, 4)):

@@ -155,6 +155,19 @@ class TestScan:
         assert run(["scan", "--r", "0.5", "--alpha", "1e20", "--t1", "0.5", "--t2", "1.7"]) == 2
         assert "2^53" in capsys.readouterr().err
 
+    def test_window_sizing_past_the_float_range_exit_2(self, capsys):
+        # A peak index or a window width past the float range is refused, with
+        # no warning on the way; a refused index is printed in short form.
+        for argv in (["scan", "--r", "0.5", "--alpha", "1e308", "--phi", "pow:1"],
+                     ["scan", "--r", "0.5", "--alpha", "1e2", "--phi", "pow:1e-308"],
+                     ["scan", "--r", "0.5", "--alpha", "1e2", "--phi", "pow:1e-320"],
+                     ["scan", "--r", "0.9", "--alpha", "1e308", "--phi", "pow:1"],
+                     ["trace-compare", "--alpha", "1e308"]):
+            assert run(argv) == 2
+        capsys.readouterr()
+        assert run(["scan", "--r", "0.5", "--alpha", "1e200", "--phi", "pow:1"]) == 2
+        assert "would reach index 3.33e+199, past 2^53" in capsys.readouterr().err
+
     def test_unresolved_neighbours_exit_2(self, capsys):
         # sigma^2 is 2.5e17 and 2.5e19 here: the count's window bounds round by
         # more than the step between neighbouring indices.

@@ -241,6 +241,11 @@ class TestClassify:
         assert cls.tag == "co-isotropic"
         assert cls.zero_multiplicity == 0
 
+    def test_result_is_slotted(self):
+        cls = classify(pullback_forms(DISC, make_chart("circle", 0.5), [0.37]), 1, 1)
+        assert not hasattr(cls, "__dict__")
+        assert type(cls).__slots__ == ("tag", "lambda_spectrum", "half_rank", "d")
+
     def test_dimension_check(self):
         pair = pullback_forms(DISC, make_chart("open-ball"), [0.4, 0.3])
         with pytest.raises(DomainError):

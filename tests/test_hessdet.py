@@ -205,7 +205,7 @@ class TestClosedForms:
             for m in (2, 3, 5):
                 direct = det_direct(build_block_matrix(
                     BlockHessianSpec(m=m, W=np.zeros((d, d)))))
-                want = det_closed_form(m, n=2, d=d, cls="isotropic").sqrt_det ** 2
+                want = det_closed_form(m, n=3, d=d, cls="isotropic").sqrt_det ** 2
                 assert abs(direct - want) <= 1e-10 * abs(want)
         # co-isotropic: unit rotation spectrum with multiplicity d - n
         for n, d in ((1, 2), (2, 3), (2, 4)):
@@ -221,9 +221,14 @@ class TestClosedForms:
         cf = det_closed_form(2048, n=1, d=1, cls="isotropic")
         assert cf.unified == pytest.approx(2.0 ** 1023.5 / math.sqrt(2048.0), rel=1e-15)
         for m, n, d, cls in ((2049, 1, 1, "isotropic"), (10 ** 6, 1, 1, "isotropic"),
-                             (3000, 10, 20, "isotropic"), (3000, 10, 15, "co-isotropic")):
+                             (3000, 20, 20, "isotropic"), (3000, 10, 15, "co-isotropic")):
             with pytest.raises(DomainError, match="float range"):
                 det_closed_form(m, n=n, d=d, cls=cls)
+
+    def test_dimension_must_fit_the_class(self):
+        for n, d, cls in ((1, 5, "co-isotropic"), (1, 5, "isotropic"), (2, 1, "lagrangian")):
+            with pytest.raises(DomainError, match="needs"):
+                det_closed_form(3, n=n, d=d, cls=cls)
 
     def test_unsupported_class(self):
         with pytest.raises(UnsupportedClassError):

@@ -110,6 +110,45 @@ class TestQTransform:
             q_transform(QTransformSpec(1.0, step), np.array([0.5, 2.0, 0.25]))
         assert str(exc.value).startswith("q_transform(eps=1, t=2): Gauss ladder exhausted")
 
+    def test_tail_cut_past_the_float_range_rejected(self):
+        # ((710 + |ln t|)/min(p, 1))^eps overflows at a tiny p or a large eps
+        for eps, p in ((0.5, 1e-308), (0.5, 1e-320), (200.0, 1.0)):
+            with pytest.raises(DomainError, match=r"t=2\): the tail cut is past the float"):
+                q_transform(QTransformSpec(eps, power_phi(p)), 2.0)
+
+    @pytest.mark.parametrize("n", [9, 96, 300])
+    def test_chunked_array_equals_scalar_calls_bit_for_bit(self, n):
+        # 300 points span two chunks of 256 rows
+        ts = np.geomspace(1e-3, 1e4, n)
+        for eps in (0.5, 1.5):
+            for phi in (power_phi(0.3), poly_phi([1.5, -0.25, 0.75])):
+                spec = QTransformSpec(eps, phi)
+                want = np.array([q_transform(spec, float(t)) for t in ts])
+                assert np.array_equal(q_transform(spec, ts), want)
+
+    def test_one_ladder_per_256_points(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return adaptive_integral(*args, **kwargs)
+
+        monkeypatch.setattr(szego, "adaptive_integral", counting)
+        spec = QTransformSpec(0.5, power_phi(1.0))
+        for n in (1, 96, 256, 257, 600):
+            calls.clear()
+            q_transform(spec, np.linspace(0.5, 3.0, n))
+            assert len(calls) == math.ceil(n / 256)
+
+    def test_exhausted_element_among_300_is_named_alone(self):
+        # The first chunk of 256 points converges; t = 2 drags the other 43
+        # points of the second up the ladder, and only t = 2 is named.
+        step = PhiFunction(fn=lambda s: np.where(s < 1.0, s, 0.0), p_exponent=1.0)
+        ts = np.append(np.geomspace(0.05, 0.95, 299), 2.0)
+        with pytest.raises(AccuracyError) as exc:
+            q_transform(QTransformSpec(1.0, step), ts)
+        assert str(exc.value).startswith("q_transform(eps=1, t=2): Gauss ladder exhausted")
+
 
 class TestVectorLadder:
     def test_components_accepted_on_their_own(self):

@@ -683,6 +683,19 @@ class TestExplicitTrace:
             explicit_trace(CircleSymbolModel(r=0.5, alpha=2.6e16), power_phi(1e300))
         assert calls == []
 
+    def test_window_past_the_float_range_refused(self, monkeypatch):
+        # A peak index or a window width that is not finite: m* ~ 3.3e307, or
+        # a fall of 36.7/p in log lambda at a tiny (or subnormal) p.
+        calls = _record_indices(monkeypatch)
+        with pytest.raises(DomainError, match="index 3.33e\\+307, past 2\\^53"):
+            explicit_trace(CircleSymbolModel(r=0.5, alpha=1e308), power_phi(1.0))
+        with pytest.raises(DomainError, match="peak index is past the float range"):
+            explicit_trace(CircleSymbolModel(r=0.9, alpha=1e308), power_phi(1.0))
+        for p in (1e-308, 1e-320):
+            with pytest.raises(DomainError, match="window width .* past the float range"):
+                explicit_trace(CircleSymbolModel(r=0.5, alpha=100.0), power_phi(p))
+        assert calls == []
+
     @pytest.mark.parametrize("r, alpha, p", [(0.1, 1.0, 200.0), (0.1, 1.0, 1000.0),
                                              (0.3, 10.0, 500.0)])
     def test_large_power_at_small_r(self, r, alpha, p):
@@ -1166,6 +1179,10 @@ class TestCompositionTrace:
         for alpha in (0.0, -0.5):
             with pytest.raises(DomainError, match="alpha > 0"):
                 composition_trace_quadrature(CircleSymbolModel(r=0.5, alpha=alpha), 2)
+
+    def test_peak_past_2_53_is_refused_before_any_evaluation(self):
+        with pytest.raises(DomainError, match="past 2\\^53"):
+            composition_trace_quadrature(CircleSymbolModel(r=0.5, alpha=1e308), 2)
 
     def test_node_cap_is_a_domain_error_before_the_walks(self, monkeypatch):
         # r = 1/2, alpha = 1e4 takes 2048 nodes: 2048 walk entries at m = 2

@@ -20,7 +20,7 @@ from .eigen import hermitian_eigenvalues
 from .geometry import (
     CHART_NAMES,
     ChartedSubmanifold,
-    MetricPair,
+    Pullback,
     SymplecticClass,
     classify,
     make_chart,

@@ -240,6 +240,8 @@ def cmd_classify(args) -> int:
 
 def cmd_hessdet(args) -> int:
     d, m = args.d, args.m
+    if args.seed < 0:
+        raise DomainError(f"seed must be a nonnegative integer, got {args.seed}")
     g, h = random_metric_pair(d, np.random.default_rng(args.seed))
     w = np.linalg.solve(g, h)
     spec = BlockHessianSpec(m=m, W=w)
@@ -282,6 +284,8 @@ def cmd_trace_compare(args) -> int:
     if len(alphas) != 1:
         raise DomainError(f"trace-compare takes one alpha, got {args.alpha!r}")
     alpha, m = alphas[0], args.m
+    if not 0.0 < args.tol < math.inf:
+        raise DomainError(f"tolerance must be finite and positive, got {args.tol}")
     model = CircleSymbolModel(r=args.r, alpha=alpha)
     # The eigenvalue side first: past its window cap it fails before the
     # quadrature runs.  sum d^m = (2 pi alpha)^(m/2) sum lambda^m over the

@@ -9,9 +9,10 @@ whether the tangent spaces are isotropic (all lambda vanish), co-isotropic
 or neither.
 
 Charts are evaluated on whole node arrays, coordinate first: parameters of
-shape (d, N), so ``t[j]`` is coordinate j of every node.  One code path,
-``_pullback_batch``, turns chart points and Jacobians into G, H and the
-volume density; the one-point functions are batches of one on it.
+shape (d, N), so ``t[j]`` is coordinate j of every node, or (d,) for one
+point.  One function, ``pullback_forms``, turns chart points and Jacobians
+into G, H, the gaps and the volume density, and returns them as one
+``Pullback`` record, per node for (d, N) and as single values for (d,).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .specfun import WeightedModel
 
 __all__ = [
     "ChartedSubmanifold",
-    "MetricPair",
+    "Pullback",
     "SymplecticClass",
     "pullback_forms",
     "skew_half_spectrum",
@@ -84,42 +85,6 @@ def _ambient_batch(model: WeightedModel, points: np.ndarray, ts=None):
     return s, eye / s3 + np.einsum("jN,kN->Njk", points.conj(), points) / s3 ** 2
 
 
-class _Pullback(NamedTuple):
-    """Pullback data at N nodes: gaps s (N,), G and H (N, d, d), density (N,)."""
-
-    s: np.ndarray
-    G: np.ndarray
-    H: np.ndarray
-    density: np.ndarray
-
-
-def _pullback_batch(model: WeightedModel, points: np.ndarray, jacs: np.ndarray,
-                    ts: np.ndarray) -> _Pullback:
-    """Pull the ambient metric back at N chart nodes at once.
-
-    ``points`` has shape (n, N) and ``jacs`` shape (n, d, N); the parameters
-    ``ts`` (d, N) name the node in error messages.  The complex combination
-    G + iH equals J^T B conj(J) with B the ambient metric; that matrix is
-    Hermitian, so its real part is symmetric and its imaginary part skew.
-    One stacked eigensolve of G gives both the rank check (RankError when G
-    is numerically singular) and the volume density sqrt(det G), the
-    square root of the product of its eigenvalues, which the check keeps
-    positive.  DomainError for a point outside the ball.
-    """
-    s, b = _ambient_batch(model, points, ts)
-    c = np.einsum("jaN,Njk,kbN->Nab", jacs, b, jacs.conj())
-    g = 0.5 * (c.real + c.real.swapaxes(-1, -2))
-    h = 0.5 * (c.imag - c.imag.swapaxes(-1, -2))
-    gvals = np.linalg.eigvalsh(g)
-    singular = ~(gvals[:, 0] > 1e-10 * np.maximum(gvals[:, -1], 1e-300))
-    if singular.any():
-        i = int(np.argmax(singular))
-        raise RankError(
-            f"induced metric is numerically singular{_at(ts, i)} "
-            f"(eigenvalue range [{gvals[i, 0]:.3e}, {gvals[i, -1]:.3e}])")
-    return _Pullback(s=s, G=g, H=h, density=np.sqrt(np.prod(gvals, axis=-1)))
-
-
 @dataclass(frozen=True)
 class ChartedSubmanifold:
     """A chart t in (0,1)^d -> ball in C^n with Jacobian access.
@@ -134,8 +99,8 @@ class ChartedSubmanifold:
     axis (length 1) unless n = d = 1.  If ``jacobian`` is omitted, central
     finite differences with step 1e-5 are taken over the whole batch,
     2d chart calls per Jacobian.  A chart that handles one point only is
-    still enough for the one-point functions (``point``, ``jacobian_at``,
-    ``volume_density``, ``pullback_forms``), which pass shape (d,).
+    still enough for ``point``, ``jacobian_at`` and ``pullback_forms`` at
+    one point, which pass shape (d,).
     """
 
     name: str
@@ -172,39 +137,47 @@ class ChartedSubmanifold:
             jac[:, j] = (self.point(tp) - self.point(tm)) / (2.0 * step)
         return jac
 
-    def _pullback_one(self, model: WeightedModel, t) -> _Pullback:
-        t = np.asarray(t, dtype=float)
-        if t.shape != (self.d,):
-            raise DomainError(f"chart {self.name!r} takes one point of shape ({self.d},), "
-                              f"got {t.shape}")
-        return _pullback_batch(model, self.point(t)[:, None], self.jacobian_at(t)[..., None],
-                               t[:, None])
 
-    def volume_density(self, model: WeightedModel, t) -> float:
-        """sqrt(det G): the density of the induced volume element in chart coordinates."""
-        return float(self._pullback_one(model, t).density[0])
-
-
-@dataclass(frozen=True)
-class MetricPair:
-    """Pullback data at one chart point: G symmetric positive definite, H skew.
-
-    The rotation W = G^{-1} H is not formed; ``skew_half_spectrum`` reads
-    its spectrum from G and H.
+class Pullback(NamedTuple):
+    """Gaps s = 1 - |p|^2, G symmetric positive definite, H skew and the
+    volume density sqrt(det G): s and density of shape (N,) and G and H of
+    shape (N, d, d) at N nodes; floats and (d, d) matrices at one point.
     """
 
+    s: np.ndarray
     G: np.ndarray
     H: np.ndarray
+    density: np.ndarray
 
 
-def pullback_forms(model: WeightedModel, manifold: ChartedSubmanifold, t) -> MetricPair:
-    """Pull the ambient metric back along the chart at one parameter t, shape (d,).
+def pullback_forms(model: WeightedModel, manifold: ChartedSubmanifold, t) -> Pullback:
+    """Pull the ambient metric back along the chart at t, shape (d,) or (d, N).
 
-    A batch of one through ``_pullback_batch``.  Raises RankError when G is
-    numerically singular (degenerate chart).
+    G + iH = J^T B conj(J), B the ambient metric, is Hermitian, so G (its
+    real part) is symmetric and H (its imaginary part) skew.  One stacked eigensolve of G gives
+    the rank check (RankError naming the node where G is numerically
+    singular) and the density, the root of the eigenvalues' product.
+    DomainError for a point outside the ball.  A (d,) t reaches the chart as
+    (d,) and gives the one-point ``Pullback``, a batch of one underneath.
     """
-    pair = manifold._pullback_one(model, t)
-    return MetricPair(G=pair.G[0], H=pair.H[0])
+    ts = manifold._params(t)
+    points, jacs = manifold.point(ts), manifold.jacobian_at(ts)
+    one = ts.ndim == 1
+    if one:
+        points, jacs, ts = points[:, None], jacs[..., None], ts[:, None]
+    s, b = _ambient_batch(model, points, ts)
+    c = np.einsum("jaN,Njk,kbN->Nab", jacs, b, jacs.conj())
+    g = 0.5 * (c.real + c.real.swapaxes(-1, -2))
+    h = 0.5 * (c.imag - c.imag.swapaxes(-1, -2))
+    gvals = np.linalg.eigvalsh(g)
+    singular = ~(gvals[:, 0] > 1e-10 * np.maximum(gvals[:, -1], 1e-300))
+    if singular.any():
+        i = int(np.argmax(singular))
+        raise RankError(
+            f"induced metric is numerically singular{_at(ts, i)} "
+            f"(eigenvalue range [{gvals[i, 0]:.3e}, {gvals[i, -1]:.3e}])")
+    out = Pullback(s=s, G=g, H=h, density=np.sqrt(np.prod(gvals, axis=-1)))
+    return Pullback(float(s[0]), g[0], h[0], float(out.density[0])) if one else out
 
 
 def skew_half_spectrum(G: np.ndarray, H: np.ndarray) -> np.ndarray:
@@ -246,13 +219,16 @@ class SymplecticClass:
         return f"{label}, λ-spectrum: {spec}"
 
 
-def classify(pair: MetricPair, n: int, d: int, tol: float = 1e-4) -> SymplecticClass:
-    """Tag the tangent space encoded by ``pair`` at tolerance ``tol``.
+def classify(pair: Pullback, n: int, d: int, tol: float = 1e-4) -> SymplecticClass:
+    """Tag the tangent space of a one-point ``pair`` at tolerance ``tol``.
 
-    isotropic: every lambda below tol.  co-isotropic: exactly d - n values
-    within tol of 1, the rest below tol.  lagrangian: isotropic with d = n.
-    Anything else is "neither".
+    Only ``pair.G`` and ``pair.H`` are read.  isotropic: every lambda below
+    tol.  co-isotropic: exactly d - n values within tol of 1, the rest below
+    tol.  lagrangian: isotropic with d = n.  Anything else is "neither".
+    DomainError for a tol that is not finite and positive.
     """
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tolerance must be finite and positive, got {tol}")
     if d > 2 * n:
         raise DomainError(f"chart dimension d={d} exceeds 2n={2 * n}")
     lams = skew_half_spectrum(pair.G, pair.H)

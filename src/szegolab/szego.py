@@ -18,7 +18,7 @@ import numpy as np
 from .errors import AccuracyError, DomainError
 from .quadrature import BLOCK_ELEMENTS, adaptive_integral, graded_edges
 from .specfun import WeightedModel
-from .geometry import ChartedSubmanifold, _evaluate, _pullback_batch
+from .geometry import ChartedSubmanifold, _evaluate, pullback_forms
 from .toeplitz import (
     CircleSymbolModel,
     SpectrumTruncation,
@@ -89,9 +89,10 @@ def poly_phi(coeffs: Sequence[float]) -> PhiFunction:
         s = np.asarray(s, dtype=float)
         out = np.zeros_like(s)
         power = np.ones_like(s)
-        for c in cs:
-            power = power * s
-            out += c * power
+        with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+            for c in cs:
+                power = power * s
+                out += c * power
         return out
 
     return PhiFunction(fn=fn, p_exponent=1.0)
@@ -285,7 +286,7 @@ def szego_rhs_chart(wmodel: WeightedModel, chart: ChartedSubmanifold,
         if not ts.size:  # the quadrature's empty probe: no chart or symbol call
             return out
         nodes = ts[None, :]
-        geo = _pullback_batch(wmodel, chart.point(nodes), chart.jacobian_at(nodes), nodes)
+        geo = pullback_forms(wmodel, chart, nodes)
         a = _evaluate(symbol, nodes, ts.shape, "symbol", dtype=float)
         finite = np.isfinite(a)
         bad = ~finite | (a < -1e-12 * np.max(a, where=finite, initial=1.0))
@@ -409,7 +410,7 @@ def convergence_scan(template: CircleSymbolModel,
                            rhs_limit=rhs,
                            count_n=n_count,
                            rhs_asymptotic_count=rhs / scale)
-        lhs = math.sqrt(math.pi / alpha) * explicit_trace(model, phi)
+        lhs = explicit_trace(model, phi) * math.sqrt(math.pi / alpha)  # refuses alpha <= 0 first
         return ScanRow(alpha=float(alpha), lhs_scaled=lhs, rhs_limit=rhs)
 
     return [row(float(a)) for a in alpha_grid]

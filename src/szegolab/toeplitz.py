@@ -69,6 +69,7 @@ class CircleSymbolModel:
     conjugates, so the symbol is real by construction.  ``fourier=None``
     means the constant symbol 1.  The symbol must be nonnegative (checked on
     a 4096-point grid) for the positivity-dependent results downstream.
+    r^2 must be a normal float (r above about 1.5e-154).
     """
 
     r: float
@@ -79,6 +80,9 @@ class CircleSymbolModel:
     def __post_init__(self):
         if not 0.0 < self.r < 1.0:
             raise DomainError(f"circle radius must lie in (0, 1), got {self.r}")
+        if self.r * self.r < sys.float_info.min:
+            raise DomainError(f"circle radius {self.r} is too small: r^2 falls below "
+                              f"the smallest normal float")
         if not -1.0 < self.alpha < math.inf:
             raise DomainError(
                 f"weight parameter must be finite and exceed -1, got {self.alpha}")
@@ -204,6 +208,10 @@ def _log_diagonal(model: CircleSymbolModel, m, log_scale: float) -> np.ndarray:
     within 10 widths of the peak at alpha = 1e5 (r = 0.5, 1/sqrt(2), 0.95),
     where a sum of log-gammas of size 1e6 is off by up to 3.3e-9.
 
+    The second deviance's log1p(t), t = D/m, loses up to m u/r^2 where
+    1 + t = (n+m) q/m is small, so for r^2 < 1/16 it is log((n+m)/m) + log q
+    where t < -1/2 (at r^2 >= 1/16 the loss is at most 16 m u).
+
     ``stirlerr`` is the series above 15.  At or below 15 it comes from a
     table at the integers m, and from ``math.lgamma`` for n and for the at
     most 14 values n + m <= 15 (alpha < 13 only); a call takes these
@@ -229,7 +237,13 @@ def _log_diagonal(model: CircleSymbolModel, m, log_scale: float) -> np.ndarray:
         s_m[low] = _STIRLERR_SMALL[mm[low].astype(np.intp)]
     s_n = _stirlerr(n) if n > 15.0 else _stirlerr_lgamma(n)
     diff = n * q - mm * p
-    out = (log_base - s_n) + (s_big - s_m - _bd0(n, -diff) - _bd0(mm, diff)
+    if q >= 0.0625:
+        bd0_m = _bd0(mm, diff)
+    else:
+        t = diff / mm
+        bd0_m = mm * (t - np.where(t < -0.5, np.log(big / mm) + math.log(q),
+                                   np.log1p(np.maximum(t, -0.5))))
+    out = (log_base - s_n) + (s_big - s_m - _bd0(n, -diff) - bd0_m
                               - 0.5 * np.log(mm * big * (2.0 * math.pi / n)))
     if small:
         out[m == 0.0] = log_base + n * math.log(p)

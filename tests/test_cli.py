@@ -1,5 +1,8 @@
 import math
+import re
+import shlex
 import time
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -414,6 +417,54 @@ class TestExitContract:
         # (m-1) d = 39,800: about 25 GB of complex matrix, refused first.
         assert run(["hessdet", "--d", "200", "--m", "200"]) == 2
         assert "cap" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--r", "1e-200", "--alpha", "100", "--phi", "pow:1"],
+        ["trace-compare", "--r", "1e-200", "--alpha", "100"]])
+    def test_radius_whose_square_underflows_exit_2(self, argv, capsys):
+        assert run(argv) == 2
+        assert "smallest normal" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alphas", ["100,0", "-0.5"])
+    def test_trace_scan_non_positive_alpha_exit_2(self, alphas, capsys):
+        assert run(["scan", "--r", "0.5", "--alpha", alphas, "--phi", "pow:1"]) == 2
+        assert "alpha > 0" in capsys.readouterr().err
+
+    def test_negative_seed_exit_2(self, capsys):
+        assert run(["hessdet", "--seed", "-1"]) == 2
+        assert "seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["classify", "--chart", "circle", "--tol", "nan"],
+                                      ["trace-compare", "--tol", "nan"],
+                                      ["trace-compare", "--tol", "0"]])
+    def test_tolerance_not_finite_and_positive_exit_2(self, argv, capsys):
+        assert run(argv) == 2
+        assert "tolerance" in capsys.readouterr().err
+
+    def test_poly_phi_past_the_float_range_exit_2_without_warning(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["scan", "--r", "0.5", "--alpha", "100", "--phi", "poly:1e308,1e308"]) == 2
+        assert "float range" in capsys.readouterr().err
+
+
+def _readme_examples():
+    # The ``szegolab ...`` lines of README's sh blocks, comments dropped.
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    lines = [line for block in re.findall(r"```sh\n(.*?)```", text, re.S)
+             for line in block.splitlines()]
+    return [shlex.split(line, comments=True)[1:] for line in lines
+            if line.startswith("szegolab ")]
+
+
+class TestReadmeExamples:
+    def test_examples_found(self):
+        assert len(_readme_examples()) == 8
+
+    @pytest.mark.parametrize("argv", _readme_examples(), ids=" ".join)
+    def test_example_exits_0(self, argv, capsys):
+        assert run(argv) == 0
 
 
 class TestParser:

@@ -10,7 +10,7 @@ from szegolab import (
     pullback_forms,
     skew_half_spectrum,
 )
-from szegolab.geometry import ChartedSubmanifold, _ambient_batch, _pullback_batch
+from szegolab.geometry import ChartedSubmanifold, _ambient_batch
 from szegolab.errors import ContractViolation, DomainError, RankError
 
 DISC = WeightedModel(n=1, alpha=0.0)
@@ -97,8 +97,7 @@ class TestPullbackForms:
         want = (2.0 * math.pi * r) ** 2 / (1.0 - r * r) ** 2
         assert pair.G[0, 0] == pytest.approx(want, rel=1e-12)
         assert pair.H[0, 0] == 0.0
-        density = chart.volume_density(DISC, [0.3])
-        assert density == pytest.approx(2.0 * math.pi * r / (1.0 - r * r), rel=1e-12)
+        assert pair.density == pytest.approx(2.0 * math.pi * r / (1.0 - r * r), rel=1e-12)
 
     def test_circle_finite_difference_agrees_with_analytic(self):
         chart = make_chart("circle", 0.5)
@@ -251,6 +250,12 @@ class TestClassify:
         with pytest.raises(DomainError):
             classify(pair, n=0.5, d=2)  # d > 2n
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-4])
+    def test_tolerance_checked(self, tol):
+        pair = pullback_forms(DISC, make_chart("circle", 0.5), [0.37])
+        with pytest.raises(DomainError, match="tolerance"):
+            classify(pair, 1, 1, tol=tol)
+
     def test_unknown_chart_name(self):
         with pytest.raises(DomainError):
             make_chart("helix")
@@ -289,23 +294,24 @@ BATCH_CASES = [(make_chart("circle", 0.5), DISC), (make_chart("open-ball"), DISC
 class TestBatchPullback:
     @pytest.mark.parametrize("chart, model", BATCH_CASES, ids=lambda c: getattr(c, "name", ""))
     def test_batch_equals_one_point(self, chart, model):
-        # The (d, N) path against the one-point functions at every node.
+        # pullback_forms on (d, N) against pullback_forms at every node.
         ts = np.random.default_rng(41).uniform(0.05, 0.95, size=(chart.d, 40))
-        batch = _pullback_batch(model, chart.point(ts), chart.jacobian_at(ts), ts)
+        batch = pullback_forms(model, chart, ts)
         for i in range(ts.shape[1]):
             pair = pullback_forms(model, chart, ts[:, i])
+            assert isinstance(pair.s, float) and isinstance(pair.density, float)
             scale = np.max(np.abs(pair.G))
             assert np.max(np.abs(batch.G[i] - pair.G)) <= 1e-14 * scale
             assert np.max(np.abs(batch.H[i] - pair.H)) <= 1e-14 * scale
-            assert batch.density[i] == pytest.approx(
-                chart.volume_density(model, ts[:, i]), rel=1e-14, abs=0.0)
-            assert batch.s[i] == pytest.approx(
+            assert batch.density[i] == pytest.approx(pair.density, rel=1e-14, abs=0.0)
+            assert batch.s[i] == pytest.approx(pair.s, rel=1e-14, abs=0.0)
+            assert pair.s == pytest.approx(
                 1.0 - np.sum(np.abs(chart.point(ts[:, i])) ** 2), rel=1e-14, abs=0.0)
 
     def test_density_is_sqrt_det(self):
         ts = np.random.default_rng(42).uniform(0.1, 0.9, size=(3, 12))
         chart = make_chart("sphere3", 0.6)
-        batch = _pullback_batch(BALL2, chart.point(ts), chart.jacobian_at(ts), ts)
+        batch = pullback_forms(BALL2, chart, ts)
         assert np.allclose(batch.density, np.sqrt(np.linalg.det(batch.G)), rtol=1e-13, atol=0.0)
         assert np.all(batch.density > 0.0)
 
@@ -314,7 +320,7 @@ class TestBatchPullback:
         chart = _radial(theta0=0.0, r0=0.5, r1=1.2)
         ts = np.linspace(0.1, 0.9, 9)[None, :]
         with pytest.raises(DomainError, match=r"t=\[0\.8\]"):
-            _pullback_batch(DISC, chart.point(ts), chart.jacobian_at(ts), ts)
+            pullback_forms(DISC, chart, ts)
 
     def test_singular_node_names_t(self):
         # gamma'(t) = 0 at t = 0.5 only.
@@ -322,7 +328,7 @@ class TestBatchPullback:
                                    jacobian=lambda t: np.array([[0.8 * (t[0] - 0.5) + 0j]]))
         ts = np.array([[0.2, 0.5, 0.7]])
         with pytest.raises(RankError, match=r"t=\[0\.5\]"):
-            _pullback_batch(DISC, chart.point(ts), chart.jacobian_at(ts), ts)
+            pullback_forms(DISC, chart, ts)
 
     def test_unbroadcastable_output_names_callable(self):
         def three_values(t):
@@ -345,11 +351,16 @@ class TestBatchPullback:
         assert got.G[0, 0] == pytest.approx(want.G[0, 0], rel=1e-9)
 
     def test_parameter_shape_checked(self):
+        # (d, N) gives N entries; a wrong d or a 3-D t is refused.
         chart = make_chart("generic2d")
-        with pytest.raises(DomainError):
-            chart.point(np.full((3, 4), 0.5))
-        with pytest.raises(DomainError):
-            pullback_forms(BALL2, chart, np.full((2, 4), 0.5))
+        batch = pullback_forms(BALL2, chart, np.full((2, 4), 0.5))
+        assert batch.s.shape == batch.density.shape == (4,)
+        assert batch.G.shape == batch.H.shape == (4, 2, 2)
+        for bad in (np.full((3, 4), 0.5), np.full(3, 0.5), np.full((2, 4, 1), 0.5)):
+            with pytest.raises(DomainError):
+                chart.point(bad)
+            with pytest.raises(DomainError):
+                pullback_forms(BALL2, chart, bad)
 
 
 ANALYTIC = [("sphere3", BALL2), ("open-ball", DISC), ("generic2d", BALL2)]

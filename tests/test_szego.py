@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -70,6 +71,12 @@ class TestQTransform:
             power_phi(bad)
         with pytest.raises(DomainError):
             poly_phi([1.0, bad])
+
+    def test_poly_phi_past_the_float_range_is_quiet(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = poly_phi([1e308, 1e308, -1e308])(np.array([0.5, 2.0]))
+        assert math.isfinite(vals[0]) and math.isnan(vals[1])
 
     @pytest.mark.parametrize("t", [math.inf, math.nan, -1.0,
                                    np.array([1.0, 0.0]), np.array([2.0, math.inf]),
@@ -520,6 +527,12 @@ class TestConvergenceScan:
                              if diffs[i + 1] > diffs[i] + 1e-12)
             assert inversions <= allowed
             assert diffs[-1] < diffs[0]
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.5])
+    def test_trace_row_refuses_non_positive_alpha(self, alpha):
+        # The trace is taken before sqrt(pi/alpha): DomainError, not ZeroDivisionError.
+        with pytest.raises(DomainError, match="alpha > 0"):
+            convergence_scan(R_HALF, (100.0, alpha), phi=power_phi(1.0))
 
     def test_argument_validation(self):
         with pytest.raises(DomainError):

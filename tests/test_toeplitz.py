@@ -45,6 +45,12 @@ class TestModelValidation:
         with pytest.raises(DomainError):
             CircleSymbolModel(r=0.5, alpha=-1.0)
 
+    def test_radius_whose_square_underflows(self):
+        # r^2 below the smallest normal float: refused, not a math domain error later.
+        with pytest.raises(DomainError, match="smallest normal"):
+            CircleSymbolModel(r=1e-200, alpha=100.0)
+        assert CircleSymbolModel(r=1e-100, alpha=100.0).r == 1e-100
+
     def test_weight_must_be_finite(self):
         with pytest.raises(DomainError):
             CircleSymbolModel(r=0.5, alpha=math.inf)
@@ -221,6 +227,25 @@ class TestLogDiagonal:
         got = toeplitz._log_diagonal(model, m, 0.0)
         want = np.array([_mp_log_diagonal(r, alpha, int(k)) for k in m])
         assert np.max(np.abs(got - want)) <= 2e-12
+
+
+    @pytest.mark.parametrize("r", [1e-2, 1e-4, 1e-7, 1e-9, 1e-100])
+    def test_tiny_radius_against_gammaln(self, r):
+        # Far below the peak 1 + t = (n+m) r^2/m is tiny; log1p(t) lost up
+        # to m u / r^2 there (1e-4 at r = 1e-7, -inf at r = 1e-9).
+        model = CircleSymbolModel(r=r, alpha=100.0)
+        m = np.arange(64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _log_eigenvalues(model, m)
+        want = gammaln_spectrum.log_eigenvalues(r, 100.0, m)
+        assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-12
+
+    def test_tiny_radius_count(self):
+        # lambda_0 > ... > lambda_3, each about 1e-18 times the one before.
+        model = CircleSymbolModel(r=1e-9, alpha=100.0)
+        lam3 = math.exp(gammaln_spectrum.log_eigenvalues(1e-9, 100.0, [3])[0])
+        assert explicit_count(model, lam3 / 2, model.norm_bound) == 4
 
 
 def _crossing(log_lam, lo, hi, t):

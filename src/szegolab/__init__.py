@@ -50,7 +50,6 @@ from .toeplitz import (
 )
 from .szego import (
     PhiFunction,
-    QTransformSpec,
     ScanRow,
     convergence_scan,
     count_prediction,

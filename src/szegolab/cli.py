@@ -32,9 +32,9 @@ from .szego import (
     poly_phi,
     power_phi,
     q_transform,
-    QTransformSpec,
 )
-from .toeplitz import CircleSymbolModel, composition_trace_quadrature, explicit_trace
+from .toeplitz import (MAX_MATRIX_ORDER, CircleSymbolModel, composition_trace_quadrature,
+                       explicit_trace)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -242,13 +242,21 @@ def cmd_hessdet(args) -> int:
     d, m = args.d, args.m
     if args.seed < 0:
         raise DomainError(f"seed must be a nonnegative integer, got {args.seed}")
+    # Before G and H are drawn; each pair factor of the determinant is at least m.
+    if m < 2 or d < 1:
+        raise DomainError(f"need m >= 2 and d >= 1, got m={m}, d={d}")
+    if (m - 1) * d > MAX_MATRIX_ORDER:
+        raise DomainError(f"block order {(m - 1) * d} is over the cap of {MAX_MATRIX_ORDER}")
+    if d * math.log(m) > math.log(sys.float_info.max):
+        raise DomainError(f"the determinant, at least m^d = {m}^{d}, exceeds the float range")
     g, h = random_metric_pair(d, np.random.default_rng(args.seed))
-    w = np.linalg.solve(g, h)
-    spec = BlockHessianSpec(m=m, W=w)
+    root = sqrt_det_from_spectrum(m, d, skew_half_spectrum(g, h))
+    from_spectrum = root * root
+    if not math.isfinite(from_spectrum):
+        raise DomainError(f"determinant for m={m}, d={d} exceeds the float range")
+    spec = BlockHessianSpec(m=m, W=np.linalg.solve(g, h))
+    poly = det_via_polynomial(spec)  # refuses m >= 1030 before the block matrix is built
     direct = det_direct(build_block_matrix(spec))
-    poly = det_via_polynomial(spec)
-    lams = skew_half_spectrum(g, h)
-    from_spectrum = sqrt_det_from_spectrum(m, d, lams) ** 2
     values = [direct, poly, complex(from_spectrum)]
     spread = max(abs(a - b) for a in values for b in values) / abs(direct)
     emit(("method", "value_re", "value_im"),
@@ -266,8 +274,7 @@ def cmd_qcheck(args) -> int:
     worst = 0.0
     for p in grid["powers"]:
         for eps in grid["orders"]:
-            computed = q_transform(QTransformSpec(epsilon=eps, phi=power_phi(p)),
-                                   np.array(grid["points"]))
+            computed = q_transform(eps, power_phi(p), np.array(grid["points"]))
             for t, got in zip(grid["points"], computed.tolist()):
                 want = t ** p / p ** eps
                 rel = abs(got - want) / abs(want)

@@ -31,7 +31,6 @@ __all__ = [
     "PhiFunction",
     "power_phi",
     "poly_phi",
-    "QTransformSpec",
     "q_transform",
     "monomial_rhs_circle",
     "szego_rhs",
@@ -98,18 +97,6 @@ def poly_phi(coeffs: Sequence[float]) -> PhiFunction:
     return PhiFunction(fn=fn, p_exponent=1.0)
 
 
-@dataclass(frozen=True)
-class QTransformSpec:
-    """Transform order epsilon >= 0 plus the test function to transform."""
-
-    epsilon: float
-    phi: PhiFunction
-
-    def __post_init__(self):
-        if self.epsilon < 0.0:
-            raise DomainError(f"transform order must be >= 0, got {self.epsilon}")
-
-
 # The transform's Gauss ladder: starting order and order doublings.
 Q_ORDER = 16
 Q_MAX_DOUBLINGS = 6
@@ -118,13 +105,13 @@ RHS_REL_TOL = 1e-6
 RHS_NODES = 32
 
 
-def q_transform(spec: QTransformSpec, t):
+def q_transform(epsilon: float, phi: PhiFunction, t):
     """Log-kernel fractional integral of phi at t > 0, a scalar or a 1-D array.
 
-    For epsilon = 0 this is phi(t) itself.  For epsilon > 0,
-    (1/Gamma(eps)) int_0^t phi(s) (ln(t/s))^{eps-1} ds/s is evaluated after
-    the substitutions u = ln(t/s), v = u^eps, which absorb the endpoint
-    singularity:
+    The order epsilon must be finite and >= 0.  For epsilon = 0 this is
+    phi(t) itself.  For epsilon > 0, (1/Gamma(eps)) int_0^t phi(s)
+    (ln(t/s))^{eps-1} ds/s is evaluated after the substitutions u = ln(t/s),
+    v = u^eps, which absorb the endpoint singularity:
         (1/Gamma(eps+1)) int_0^inf phi(t e^{-v^{1/eps}}) dv.
     Geometrically graded panels toward v = 0 handle the Holder endpoint for
     eps > 1; the tail is cut at v_max(t), where the argument of phi
@@ -148,6 +135,8 @@ def q_transform(spec: QTransformSpec, t):
     leaves the float range raises DomainError at the first such order.  A
     scalar t gives a float, an array t an array.
     """
+    if not 0.0 <= epsilon < math.inf:
+        raise DomainError(f"transform order must be finite and >= 0, got {epsilon}")
     scalar = np.ndim(t) == 0
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     if ts.ndim > 1:
@@ -157,27 +146,26 @@ def q_transform(spec: QTransformSpec, t):
     if bad.any():
         raise DomainError(f"transform evaluation point must be positive and finite, "
                           f"got {ts[bad][0]}")
-    eps = spec.epsilon
-    if eps == 0.0:
-        vals = np.asarray(spec.phi(ts), dtype=float)
+    if epsilon == 0.0:
+        vals = np.asarray(phi(ts), dtype=float)
         return float(vals[0]) if scalar else vals
     unit_edges = graded_edges(0.0, 1.0, levels=48)
     with np.errstate(over="ignore"):
-        v_max = ((710.0 + np.abs(np.log(ts))) / min(spec.phi.p_exponent, 1.0)) ** eps
+        v_max = ((710.0 + np.abs(np.log(ts))) / min(phi.p_exponent, 1.0)) ** epsilon
     if not np.isfinite(v_max).all():
-        raise DomainError(f"q_transform(eps={eps:g}, t={ts[~np.isfinite(v_max)][0]:g}): the "
-                          f"tail cut is past the float range (p={spec.phi.p_exponent:g})")
+        raise DomainError(f"q_transform(eps={epsilon:g}, t={ts[~np.isfinite(v_max)][0]:g}): "
+                          f"the tail cut is past the float range (p={phi.p_exponent:g})")
     rows = BLOCK_ELEMENTS // (2 * Q_ORDER)
     vals = np.empty_like(ts)
     with np.errstate(under="ignore"):
         for start in range(0, ts.size, rows):
             chunk = slice(start, start + rows)
             vals[chunk] = v_max[chunk] * adaptive_integral(
-                _q_integrand(spec.phi, ts[chunk], v_max[chunk], 1.0 / eps), unit_edges,
+                _q_integrand(phi, ts[chunk], v_max[chunk], 1.0 / epsilon), unit_edges,
                 rel_tol=1e-10, order=Q_ORDER, max_doublings=Q_MAX_DOUBLINGS,
                 what=lambda failed, tc=ts[chunk]: (
-                    f"q_transform(eps={eps:g}, t={', '.join(f'{x:g}' for x in tc[failed])})"))
-    vals /= math.gamma(eps + 1.0)
+                    f"q_transform(eps={epsilon:g}, t={', '.join(f'{x:g}' for x in tc[failed])})"))
+    vals /= math.gamma(epsilon + 1.0)
     return float(vals[0]) if scalar else vals
 
 
@@ -231,16 +219,15 @@ def szego_rhs(model: CircleSymbolModel, phi: PhiFunction) -> float:
     Fourier symbols go through periodic quadrature from ``RHS_NODES`` nodes,
     doubled up to six times until two grids agree to ``RHS_REL_TOL``.
     """
-    spec = QTransformSpec(epsilon=0.5, phi=phi)
     circumference = 2.0 * math.pi * model.r / (1.0 - model.r ** 2)
     scale = (1.0 - model.r ** 2) ** -2
     if model.is_constant_one:
-        return circumference * q_transform(spec, scale) / math.sqrt(2.0)
+        return circumference * q_transform(0.5, phi, scale) / math.sqrt(2.0)
 
     def transformed_sum(theta: np.ndarray) -> float:
         x = model.symbol_values(theta) * scale
         positive = x > 0.0
-        return float(np.sum(q_transform(spec, x[positive])))
+        return float(np.sum(q_transform(0.5, phi, x[positive])))
 
     # The periodic grid of 2n nodes holds the grid of n as its even nodes,
     # so each doubling evaluates only the n new odd nodes.
@@ -278,7 +265,6 @@ def szego_rhs_chart(wmodel: WeightedModel, chart: ChartedSubmanifold,
     """
     if chart.d != 1:
         raise DomainError("general right-hand sides support d = 1 charts only")
-    spec = QTransformSpec(epsilon=dprime / 2.0, phi=phi)
     expo = wmodel.n + 1.0
 
     def integrand(ts):
@@ -297,7 +283,8 @@ def szego_rhs_chart(wmodel: WeightedModel, chart: ChartedSubmanifold,
         values = a * geo.s ** -expo
         positive = values > 0.0
         if positive.any():
-            out[positive] = q_transform(spec, values[positive]) * geo.density[positive]
+            out[positive] = (q_transform(dprime / 2.0, phi, values[positive])
+                             * geo.density[positive])
         return out
 
     edges = np.linspace(0.0, 1.0, 9)

@@ -598,8 +598,11 @@ def _cyclic_trace(model: CircleSymbolModel, m: int, n_nodes: int) -> float:
     circulant S[k, l] = a_hat[l - k], so the sum is trace((S Lambda / n)^m):
     over each start k, the walks of m steps d in [-K, K] whose offsets add up
     to a multiple of n, each weighted by a_hat[d] Lambda/n at every index
-    reached.  ``walks`` holds the partial sums per offset (2mK + 1 rows) and
-    start; a constant symbol leaves one row, sum (Lambda/n)^m.
+    reached.  The caller takes n > mK, so only offset 0 closes, and a walk
+    that leaves [-h, h], h = floor(m/2) K, cannot return to 0 in the steps
+    it has left.  ``walks`` holds the partial sums per offset in [-h, h]
+    (2h + 1 rows) and start; a constant symbol leaves one row,
+    sum (Lambda/n)^m.
     """
     r, a = model.r, model.alpha
     index = np.arange(n_nodes)
@@ -607,23 +610,23 @@ def _cyclic_trace(model: CircleSymbolModel, m: int, n_nodes: int) -> float:
     base = 1.0 - r * r * np.exp(2j * np.pi * wrapped)
     log_edge = a * (math.log(1.0 - r * r) - np.log(base)) - 2.0 * np.log(base)
     band = model.bandwidth
-    offsets = np.arange(-m * band, m * band + 1)
+    half = m // 2 * band
     # Overflow at a large m reaches the caller as a non-finite value.
     with np.errstate(all="ignore"):
         lam = np.fft.fft(np.exp(log_edge)) \
             * ((a + 1.0) * 2.0 * math.pi * r / (1.0 - r * r) / n_nodes)
-        # Row j is lam[(k + offsets[j]) mod n] over the starts k, as a view.
+        # Row j is lam[(k + j - h) mod n] over the starts k, as a view.
         at_offset = sliding_window_view(
-            np.take(lam, np.arange(offsets[0], n_nodes + offsets[-1]), mode="wrap"), n_nodes)
-        walks = np.zeros((offsets.size, n_nodes), dtype=complex)
-        walks[m * band] = 1.0
+            np.take(lam, np.arange(-half, n_nodes + half), mode="wrap"), n_nodes)
+        walks = np.zeros((2 * half + 1, n_nodes), dtype=complex)
+        walks[half] = 1.0
         for _ in range(m):
             step = np.zeros_like(walks)
             for d in range(-band, band + 1):
-                lo, hi = max(d, 0), offsets.size + min(d, 0)
+                lo, hi = max(d, 0), len(walks) + min(d, 0)
                 step[lo:hi] += model.fourier_coefficient(d) * walks[lo - d:hi - d]
             walks = step * at_offset
-    return float(walks[offsets % n_nodes == 0].sum().real)
+    return float(walks[half].sum().real)
 
 
 def composition_trace_quadrature(model: CircleSymbolModel, m: int) -> float:
@@ -638,10 +641,10 @@ def composition_trace_quadrature(model: CircleSymbolModel, m: int) -> float:
     sum differs from the trace only through indices outside the window, and
     each omitted tail of sum d is at most 2^-53 of the window's sum (p = 1
     is the widest window for any m >= 2).  DomainError, before any walk, when
-    the n (2mK + 1) walk entries exceed MAX_SPECTRUM_TERMS (r = 0.999,
-    alpha = 1e5 takes n = 2^22), for m not an integer >= 2, alpha <= 0, a
-    peak index past 2^53 (before any evaluation), or a trace whose bounds
-    leave the float range.
+    the n (2 floor(m/2) K + 1) walk entries exceed MAX_SPECTRUM_TERMS
+    (r = 0.999, alpha = 1e5 takes n = 2^22), for m not an integer >= 2,
+    alpha <= 0, a peak index past 2^53 (before any evaluation), or a trace
+    whose bounds leave the float range.
     """
     if m < 2 or int(m) != m:
         raise DomainError(f"composition length must be an integer >= 2, got {m}")
@@ -664,11 +667,11 @@ def composition_trace_quadrature(model: CircleSymbolModel, m: int) -> float:
                 + (m - 1) * (log_sup + log_peak) < math.log(sys.float_info.min)):
             raise DomainError(f"composition trace of length {m} is below the float range")
     first, last = _trace_window(model, 1.0)
-    reach = 2 * m * model.bandwidth
-    n_nodes = 1 << (last - first + reach).bit_length()
-    if n_nodes * (reach + 1) > MAX_SPECTRUM_TERMS:
+    n_nodes = 1 << (last - first + 2 * m * model.bandwidth).bit_length()
+    entries = n_nodes * (2 * (m // 2) * model.bandwidth + 1)
+    if entries > MAX_SPECTRUM_TERMS:
         raise DomainError(
-            f"composition trace needs {n_nodes} nodes/axis, {n_nodes * (reach + 1)} walk "
+            f"composition trace needs {n_nodes} nodes/axis, {entries} walk "
             f"entries, above the cap of {MAX_SPECTRUM_TERMS} (r={r:g}, alpha={a:g}, m={m})")
     val = _cyclic_trace(model, m, n_nodes)
     if not math.isfinite(val):

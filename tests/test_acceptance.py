@@ -14,7 +14,6 @@ import gammaln_spectrum
 from szegolab import (
     BlockHessianSpec,
     CircleSymbolModel,
-    QTransformSpec,
     WeightedModel,
     build_block_matrix,
     classify,
@@ -192,15 +191,14 @@ def test_criterion_06_transform_monomial_rule():
         for p in (0.3, 1.0, 2.0, 5.0):
             for eps in (0.5, 1.0, 1.5):
                 for t in (0.1, 1.0, 7.0):
-                    got = q_transform(QTransformSpec(epsilon=eps,
-                                                     phi=power_phi(p)), t)
+                    got = q_transform(eps, power_phi(p), t)
                     want = t ** p / p ** eps
                     check(f, abs(got - want) <= 1e-8 * abs(want),
                           f"p={p}, eps={eps}, t={t}: rel "
                           f"{abs(got - want) / abs(want):.2e}")
         phi = power_phi(1.7)
         for t in (0.2, 1.0, 5.0):
-            ident = q_transform(QTransformSpec(epsilon=0.0, phi=phi), t)
+            ident = q_transform(0.0, phi, t)
             check(f, ident == float(phi(np.array([t]))[0]),
                   f"identity at eps=0, t={t}")
 

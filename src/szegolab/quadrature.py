@@ -1,4 +1,4 @@
-"""Small Gauss-Legendre panel integrator used by the transform and scan code."""
+"""Panel integrators: a Gauss-Legendre ladder and nested rules that reuse every node."""
 
 from __future__ import annotations
 
@@ -9,7 +9,8 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError
 
-__all__ = ["gauss_legendre", "panel_integral", "graded_edges", "adaptive_integral"]
+__all__ = ["gauss_legendre", "panel_integral", "graded_edges", "adaptive_integral",
+           "fejer2", "trapezoid", "nested_integral"]
 
 # The most values one call of an integrand returns (unless one panel needs
 # more).  Blocks this size stay in cache: with q_transform's 256-row chunks,
@@ -114,3 +115,86 @@ def adaptive_integral(f, edges, rel_tol: float, order: int = 16,
         f"{name(failed)}: Gauss ladder exhausted at order {k} (last two values "
         f"{np.atleast_1d(older)[failed].tolist()!r} and "
         f"{np.atleast_1d(prev)[failed].tolist()!r}); target rel_tol={rel_tol:g}")
+
+
+def _nested_order(n: int, first: int) -> np.ndarray:
+    """Indices first..n-1 of a rule with n steps, the rule of n/2 steps first.
+
+    For even n the indices 2k of the rule of n/2 steps come first, in that
+    rule's own order, then the odd indices, ascending; odd n ends the
+    recursion in ascending order.
+    """
+    if n % 2:
+        return np.arange(first, n)
+    return np.concatenate([2 * _nested_order(n // 2, first), np.arange(1, n, 2)])
+
+
+@lru_cache(maxsize=32)
+def fejer2(n: int):
+    """Fejer's second rule with n steps on [-1, 1]: n - 1 interior nodes.
+
+    Nodes -cos(k pi/n), k = 1..n-1, with the weights
+        (4/n) sin(theta_k) sum_{j=1}^{floor(n/2)} sin((2j-1) theta_k)/(2j-1),
+    theta_k = k pi/n; the rule is exact for polynomials of degree n - 2 (of
+    degree n - 1 for even n, by symmetry).  numpy has no Fejer rule, so the
+    weights are formed here.  The nodes come in nested order (see
+    ``nested_integral``): the rule of n/2 steps holds the nodes of even k,
+    and they lead, equal bit for bit, since (2k pi)/(2n) rounds as (k pi)/n.
+    Cached per n, as read-only arrays shared by every caller.
+    """
+    theta = np.pi * _nested_order(n, 1) / n
+    odd = np.arange(1, 2 * (n // 2), 2)
+    x = -np.cos(theta)
+    w = (4.0 / n) * np.sin(theta) * (np.sin(np.outer(theta, odd)) @ (1.0 / odd))
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+@lru_cache(maxsize=32)
+def trapezoid(n: int):
+    """Periodic trapezoid rule with n steps on [-1, 1): nodes -1 + 2j/n, weights 2/n.
+
+    Nested order as in ``fejer2``: the rule of n/2 steps leads, and for a
+    power-of-two n, panel nodes mapped from [-1, 1) to [0, 1) are j/n
+    exactly.  Cached per n, as read-only arrays.
+    """
+    x = 2.0 * _nested_order(n, 0) / n - 1.0
+    w = np.full(n, 2.0 / n)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+def nested_integral(f, rule, edges, n: int, rel_tol: float, max_doublings: int, what: str):
+    """Composite nested rule over panels, steps doubled until two levels agree.
+
+    ``rule(n)`` gives nodes and weights on [-1, 1] in nested order: the
+    nodes of ``rule(n // 2)`` first, then the nodes new at n (``fejer2``,
+    ``trapezoid``).  Each level calls the scalar integrand ``f`` once, on the
+    new nodes of every panel only, so a value accepted at n steps has cost
+    the nodes of ``rule(n)`` once each.  Raises DomainError at the first
+    level whose value is not finite, and AccuracyError, naming ``what``,
+    when ``max_doublings`` doublings of n end without two successive values
+    agreeing to ``rel_tol``.
+    """
+    edges = np.asarray(edges, dtype=float)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    vals = np.empty((len(half), 0))
+    prev = older = None
+    for _ in range(max_doublings + 1):
+        x, w = rule(n)
+        nodes = mid[:, None] + half[:, None] * x[vals.shape[1]:]
+        new = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
+        vals = np.concatenate([vals, new], axis=1)
+        cur = float(half @ (vals @ w))
+        if not math.isfinite(cur):
+            raise DomainError(f"{what}: value {cur!r} at {vals.size} nodes is past the float range")
+        if prev is not None and abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
+            return cur
+        prev, older = cur, prev
+        n *= 2
+    raise AccuracyError(
+        f"{what}: nested rule exhausted at {vals.size} nodes (last two values "
+        f"{older!r} and {prev!r}); target rel_tol={rel_tol:g}")

@@ -15,8 +15,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError
-from .quadrature import BLOCK_ELEMENTS, adaptive_integral, graded_edges
+from .errors import DomainError
+from .quadrature import (BLOCK_ELEMENTS, adaptive_integral, fejer2, graded_edges,
+                         nested_integral, trapezoid)
 from .specfun import WeightedModel
 from .geometry import ChartedSubmanifold, _evaluate, pullback_forms
 from .toeplitz import (
@@ -224,25 +225,16 @@ def szego_rhs(model: CircleSymbolModel, phi: PhiFunction) -> float:
     if model.is_constant_one:
         return circumference * q_transform(0.5, phi, scale) / math.sqrt(2.0)
 
-    def transformed_sum(theta: np.ndarray) -> float:
+    def transformed(theta: np.ndarray) -> np.ndarray:
         x = model.symbol_values(theta) * scale
+        out = np.zeros_like(x)
         positive = x > 0.0
-        return float(np.sum(q_transform(0.5, phi, x[positive])))
+        out[positive] = q_transform(0.5, phi, x[positive])
+        return out
 
-    # The periodic grid of 2n nodes holds the grid of n as its even nodes,
-    # so each doubling evaluates only the n new odd nodes.
-    n_nodes = RHS_NODES
-    total = transformed_sum(np.arange(n_nodes) / n_nodes)
-    prev = total / n_nodes
-    for _ in range(6):
-        total += transformed_sum((2.0 * np.arange(n_nodes) + 1.0) / (2 * n_nodes))
-        n_nodes *= 2
-        cur = total / n_nodes
-        if abs(cur - prev) <= RHS_REL_TOL * max(abs(cur), 1e-300):
-            return circumference * cur / math.sqrt(2.0)
-        prev = cur
-    raise AccuracyError(
-        f"szego_rhs: symbol quadrature did not converge at {n_nodes} nodes")
+    mean = nested_integral(transformed, trapezoid, [0.0, 1.0], RHS_NODES, RHS_REL_TOL,
+                           max_doublings=6, what="szego_rhs")
+    return circumference * mean / math.sqrt(2.0)
 
 
 def szego_rhs_chart(wmodel: WeightedModel, chart: ChartedSubmanifold,
@@ -253,24 +245,35 @@ def szego_rhs_chart(wmodel: WeightedModel, chart: ChartedSubmanifold,
     (1/2^{d'/2}) int Q_{d'/2}(phi)(a(gamma(t)) (1-|gamma(t)|^2)^{-(n+1)})
     sqrt(G(t)) dt over the chart domain (0, 1), to ``RHS_REL_TOL``.
     Higher-dimensional charts are out of scope: the worked example with an
-    independent oracle is a curve.
+    independent oracle is a curve.  d' is d for an isotropic chart and
+    2n - d for a co-isotropic one; a curve is isotropic, and co-isotropic
+    only in B_1, so ``dprime`` must be 1 (else DomainError).
 
-    The chart, its Jacobian and ``symbol`` are called once per block of
-    quadrature nodes, with parameters of shape (d, N) = (1, N) (see
+    The integral is Fejer's second rule on 8 panels, from 8 steps (7 nodes)
+    per panel, doubled up to five times until two levels agree (see
+    ``quadrature.nested_integral``).  Gauss-Legendre nodes do not nest, so a
+    Gauss ladder of orders 8 and 16 transforms 64 + 128 nodes where the
+    nested rule transforms 56 + 64; numpy has no Fejer rule, so
+    ``quadrature.fejer2`` forms its weights by the short formula.  Its nodes
+    are interior, so the chart need not be defined at t = 0 or 1.
+
+    The chart, its Jacobian and ``symbol`` are called once per level, on
+    that level's new nodes, with parameters of shape (d, N) = (1, N) (see
     ``ChartedSubmanifold``), so they must accept node arrays; ``symbol``
     returns N values or something that broadcasts to them.  The symbol must
     be finite and nonnegative: a NaN, or a value below -1e-12 of the
-    block's largest value (or of 1), raises DomainError naming its t, and
+    level's largest value (or of 1), raises DomainError naming its t, and
     the tiny negatives above that count as zero.
     """
     if chart.d != 1:
         raise DomainError("general right-hand sides support d = 1 charts only")
+    if dprime != 1:
+        raise DomainError(f"a curve has d' = 1 (isotropic, or co-isotropic in B_1), "
+                          f"got dprime={dprime!r}")
     expo = wmodel.n + 1.0
 
     def integrand(ts):
         out = np.zeros_like(ts)
-        if not ts.size:  # the quadrature's empty probe: no chart or symbol call
-            return out
         nodes = ts[None, :]
         geo = pullback_forms(wmodel, chart, nodes)
         a = _evaluate(symbol, nodes, ts.shape, "symbol", dtype=float)
@@ -287,9 +290,8 @@ def szego_rhs_chart(wmodel: WeightedModel, chart: ChartedSubmanifold,
                              * geo.density[positive])
         return out
 
-    edges = np.linspace(0.0, 1.0, 9)
-    val = adaptive_integral(integrand, edges, rel_tol=RHS_REL_TOL, order=8,
-                            max_doublings=5, what="szego_rhs_chart")
+    val = nested_integral(integrand, fejer2, np.linspace(0.0, 1.0, 9), 8, RHS_REL_TOL,
+                          max_doublings=5, what="szego_rhs_chart")
     return val / 2.0 ** (dprime / 2.0)
 
 

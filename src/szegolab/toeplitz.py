@@ -13,6 +13,7 @@ phase and the cyclic label product.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from typing import Optional
@@ -642,11 +643,16 @@ def composition_trace_quadrature(model: CircleSymbolModel, m: int) -> float:
     each omitted tail of sum d is at most 2^-53 of the window's sum (p = 1
     is the widest window for any m >= 2).  DomainError, before any walk, when
     the n (2 floor(m/2) K + 1) walk entries exceed MAX_SPECTRUM_TERMS
-    (r = 0.999, alpha = 1e5 takes n = 2^22), for m not an integer >= 2,
+    (r = 0.999, alpha = 1e5 takes n = 2^22), for m not an integer >= 2
+    (any integer type, through ``operator.index``; a whole float is refused),
     alpha <= 0, a peak index past 2^53 (before any evaluation), or a trace
     whose bounds leave the float range.
     """
-    if m < 2 or int(m) != m:
+    try:
+        m = operator.index(m)
+    except TypeError:
+        raise DomainError(f"composition length must be an integer >= 2, got {m!r}") from None
+    if m < 2:
         raise DomainError(f"composition length must be an integer >= 2, got {m}")
     if not model.alpha > 0.0:
         raise DomainError("composition trace requires alpha > 0")

@@ -27,7 +27,8 @@ from szegolab import (
 )
 from szegolab import szego
 from szegolab.errors import AccuracyError, ContractViolation, DomainError, RankError
-from szegolab.quadrature import adaptive_integral, panel_integral
+from szegolab.quadrature import (adaptive_integral, fejer2, nested_integral, panel_integral,
+                                 trapezoid)
 
 R_HALF = CircleSymbolModel(r=0.5, alpha=100.0)
 
@@ -171,6 +172,45 @@ class TestVectorLadder:
             assert value == adaptive_integral(g, edges, 1e-10)
 
 
+class TestNestedRules:
+    LEVELS = (2, 4, 8, 16, 32, 64, 128, 256)
+
+    @pytest.mark.parametrize("rule", [fejer2, trapezoid])
+    @pytest.mark.parametrize("n", LEVELS)
+    def test_weights_sum_to_two(self, rule, n):
+        assert abs(np.sum(rule(n)[1]) - 2.0) <= 1e-15
+
+    @pytest.mark.parametrize("n", LEVELS)
+    def test_fejer_monomials_exact_to_degree_n_minus_2(self, n):
+        x, w = fejer2(n)
+        for deg in range(n - 1):
+            want = 2.0 / (deg + 1) if deg % 2 == 0 else 0.0
+            assert abs(x ** deg @ w - want) <= 1e-15
+
+    @pytest.mark.parametrize("rule", [fejer2, trapezoid])
+    @pytest.mark.parametrize("n", LEVELS[:-1])
+    def test_levels_nest_bit_for_bit(self, rule, n):
+        # The even-k nodes of 2n steps are the nodes of n, and lead in order.
+        coarse, fine = rule(n)[0], rule(2 * n)[0]
+        first = 0 if rule is trapezoid else 1
+        assert np.array_equal(np.sort(fine)[first::2], np.sort(coarse))
+        assert np.array_equal(fine[:coarse.size], coarse)
+
+    def test_converging_curve_transforms_56_then_64_nodes(self, monkeypatch):
+        # Two levels of Fejer's rule on 8 panels: 7 nodes per panel, then 8
+        # new ones; a Gauss ladder of orders 8 and 16 took 64 and 128.
+        seen = []
+
+        def counting(epsilon, phi, t):
+            seen.append(np.size(t))
+            return q_transform(epsilon, phi, t)
+
+        monkeypatch.setattr(szego, "q_transform", counting)
+        szego_rhs_chart(WeightedModel(n=1, alpha=0.0), make_chart("circle", 0.5),
+                        lambda t: 1.0 + 0.2 * t[0], power_phi(1.5), dprime=1.0)
+        assert seen == [56, 64]
+
+
 class TestSzegoRhs:
     def test_monomial_closed_form(self):
         for m in (1, 2, 3):
@@ -206,6 +246,33 @@ class TestSzegoRhs:
         chart = make_chart("circle", 0.5)
         got = szego_rhs_chart(model, chart, lambda t: 1.0, power_phi(2.0), dprime=1.0)
         assert got == pytest.approx(monomial_rhs_circle(0.5, 2), rel=1e-6)
+
+    def test_chart_route_seeded_curves_against_quad(self):
+        # Radial segments and arcs in the ranges of the benchmark's
+        # chart-limits curves, symbols c0 + c1 t + c2 t^2, phi = s^p with
+        # p in [0.5, 2]: Q_{1/2}(s^p)(x) = x^p p^(-1/2), so the limit is
+        # 2^(-1/2) int (a/(1-rho^2)^2)^p p^(-1/2) |gamma'|/(1-rho^2) dt.
+        rng = np.random.default_rng(27)
+        for k in range(24):
+            theta0 = rng.uniform(0.0, 2.0 * math.pi)
+            if k % 2:
+                rho0, rho1 = rng.uniform(0.0, 0.3), rng.uniform(0.5, 0.85)
+                chart, radius, speed = radial_segment(theta0, rho0, rho1)
+            else:
+                rho, dtheta = rng.uniform(0.2, 0.8), rng.uniform(0.5, 2.0 * math.pi)
+                chart, radius, speed = circle_arc(rho, theta0, dtheta)
+            c0, c1, c2 = rng.uniform(0.8, 1.5), *rng.uniform(-0.3, 0.3, 2)
+            p = rng.uniform(0.5, 2.0)
+            got = szego_rhs_chart(WeightedModel(n=1, alpha=0.0), chart,
+                                  lambda t: c0 + c1 * t[0] + c2 * t[0] ** 2,
+                                  power_phi(p), dprime=1.0)
+
+            def f(t):
+                s = 1.0 - radius(t) ** 2
+                return ((c0 + c1 * t + c2 * t * t) / s ** 2) ** p / math.sqrt(p) * speed / s
+
+            want = integrate.quad(f, 0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+            assert got == pytest.approx(want / math.sqrt(2.0), rel=1e-9, abs=0.0)
 
     def test_chart_route_rejects_higher_dimensions(self):
         with pytest.raises(DomainError):
@@ -270,6 +337,23 @@ class TestSzegoRhs:
             szego_rhs(model, power_phi(0.3))
 
 
+def radial_segment(theta0, rho0, rho1):
+    """Chart of e^(i theta0) (rho0 + (rho1 - rho0) t), its |gamma| and |gamma'|."""
+    e = complex(np.exp(1j * theta0))
+    chart = ChartedSubmanifold(
+        "radial", n=1, d=1, chart=lambda t: np.array([e * (rho0 + (rho1 - rho0) * t[0])]),
+        jacobian=lambda t: np.array([[e * (rho1 - rho0)]]))
+    return chart, (lambda t: rho0 + (rho1 - rho0) * t), rho1 - rho0
+
+
+def circle_arc(rho, theta0, dtheta):
+    """Chart of rho e^(i (theta0 + dtheta t)), its |gamma| and |gamma'|."""
+    chart = ChartedSubmanifold(
+        "arc", n=1, d=1, chart=lambda t: np.array([rho * np.exp(1j * (theta0 + dtheta * t[0]))]),
+        jacobian=lambda t: np.array([[1j * dtheta * rho * np.exp(1j * (theta0 + dtheta * t[0]))]]))
+    return chart, (lambda t: rho), rho * dtheta
+
+
 class TestChartRoute:
     """The batched chart route: node-array calls, contracts and symbol checks."""
 
@@ -286,9 +370,8 @@ class TestChartRoute:
 
     @pytest.mark.parametrize("analytic", [True, False])
     def test_one_chart_call_per_integrand_call(self, monkeypatch, analytic):
-        # One chart, one Jacobian and one symbol call per block of nodes;
-        # finite differences add 2d chart calls.  The empty shape probe of
-        # the quadrature makes none.
+        # One chart, one Jacobian and one symbol call per level's new nodes;
+        # finite differences add 2d chart calls.
         calls = {"chart": [], "jacobian": [], "symbol": [], "integrand": []}
 
         def counted(key, fn):
@@ -302,17 +385,14 @@ class TestChartRoute:
             "circle-counted", n=1, d=1, chart=counted("chart", base.chart),
             jacobian=counted("jacobian", base.jacobian) if analytic else None)
 
-        def counting_adaptive(f, *args, **kwargs):
-            if kwargs.get("what") != "szego_rhs_chart":  # the transform's own ladder
-                return adaptive_integral(f, *args, **kwargs)
-
+        def counting_nested(f, *args, **kwargs):
             def g(x):
                 if np.size(x):
                     calls["integrand"].append(np.size(x))
                 return f(x)
-            return adaptive_integral(g, *args, **kwargs)
+            return nested_integral(g, *args, **kwargs)
 
-        monkeypatch.setattr(szego, "adaptive_integral", counting_adaptive)
+        monkeypatch.setattr(szego, "nested_integral", counting_nested)
         got = self.rhs(chart, counted("symbol", lambda t: 1.0 + 0.0 * t[0]))
         assert got == pytest.approx(monomial_rhs_circle(0.5, 2), rel=1e-6)
         n_calls = len(calls["integrand"])
@@ -321,6 +401,14 @@ class TestChartRoute:
         assert len(calls["chart"]) == (1 if analytic else 3) * n_calls
         assert len(calls["jacobian"]) == (n_calls if analytic else 0)
         assert all(s == (1, n) for s, n in zip(calls["symbol"], calls["integrand"]))
+
+    @pytest.mark.parametrize("dprime", [0.0, 2.0, 3.0, math.nan])
+    def test_dprime_other_than_one_refused(self, dprime):
+        # On the r = 0.5 circle dprime = 0 once returned 13.24 and dprime = 3
+        # returned 1.65; neither is the limit.
+        with pytest.raises(DomainError, match="d' = 1"):
+            szego_rhs_chart(self.DISC, make_chart("circle", 0.5), lambda t: 1.0,
+                            power_phi(2.0), dprime=dprime)
 
     def test_unbroadcastable_chart_raises_contract_violation(self):
         def two_rows(t):

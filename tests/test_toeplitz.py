@@ -1194,6 +1194,22 @@ class TestCompositionTrace:
             with pytest.raises(DomainError, match="alpha > 0"):
                 composition_trace_quadrature(CircleSymbolModel(r=0.5, alpha=alpha), 2)
 
+    def test_numpy_integer_length_accepted(self):
+        # np.int64(3) once reached int.bit_length() and raised AttributeError
+        model = CircleSymbolModel(r=0.5, alpha=20.0)
+        assert (composition_trace_quadrature(model, np.int64(3))
+                == composition_trace_quadrature(model, 3))
+
+    @pytest.mark.parametrize("m", [2.0, np.float64(3.0), "2"])
+    def test_non_integer_length_refused_before_any_work(self, m, monkeypatch):
+        # a whole float once passed the check and raised AttributeError
+        def no_work(*args):
+            raise AssertionError("reached the spectrum")
+
+        monkeypatch.setattr(toeplitz, "largest_eigenvalue_index", no_work)
+        with pytest.raises(DomainError, match="integer >= 2"):
+            composition_trace_quadrature(CircleSymbolModel(r=0.5, alpha=20.0), m)
+
     def test_peak_past_2_53_is_refused_before_any_evaluation(self):
         with pytest.raises(DomainError, match="past 2\\^53"):
             composition_trace_quadrature(CircleSymbolModel(r=0.5, alpha=1e308), 2)
